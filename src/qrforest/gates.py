@@ -13,14 +13,18 @@ Conventions, fixed package-wide:
 
 All parameters are stored as plain tuples (matrices as nested 2x2 tuples),
 so gates are hashable and compare by value; ``inverse(inverse(g)) == g``
-exactly.  ``gate_matrix`` builds the dense unitary by per-basis-state index
-arithmetic, deliberately sharing no code with the strided kernels in
-``statevector`` so the two can check each other.
+exactly.  For the simulator kernels a ucg/ucr gate also lowers its
+parameters once, on first use, to a read-only ``(2^s, 2, 2)`` complex array
+(``Gate.block_array``).  ``gate_matrix`` builds the dense unitary by
+per-basis-state index arithmetic from the tuples, deliberately sharing no
+code with the strided kernels in ``statevector`` so the two can check each
+other.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +75,23 @@ class Gate:
     @property
     def selects(self) -> tuple[int, ...]:
         return self.qubits[:-1]
+
+    @cached_property
+    def block_array(self) -> np.ndarray:
+        """ucg/ucr parameters as a read-only ``(2^s, 2, 2)`` complex array,
+        indexed by select value; built on first use, then kept."""
+        if self.kind == "ucg":
+            blocks = np.array(self.params[0], dtype=np.complex128)
+        elif self.kind == "ucr":
+            half = np.asarray(self.params[0], dtype=np.float64) / 2.0
+            blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
+            blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(half)
+            blocks[:, 1, 0] = np.sin(half)
+            blocks[:, 0, 1] = -blocks[:, 1, 0]
+        else:
+            raise ValueError(f"kind {self.kind!r} has no block array")
+        blocks.flags.writeable = False
+        return blocks
 
 
 def h(q: int) -> Gate:
@@ -139,6 +160,8 @@ def controlled(gate: Gate, qubit: int, value: int = 1) -> Gate:
 
     For ucg/ucr the control folds into the select register (new most
     significant select), padding the inactive half with identity blocks.
+    The simulator's phase estimation needs no controlled gates; this serves
+    the dense textbook oracle.
     """
     if gate.kind == "ucg":
         (blocks,) = gate.params

@@ -1,23 +1,35 @@
 """Amplitude estimation via phase estimation over the Grover iterate.
 
-A single run prepares the compiled forecasting state, runs textbook phase
-estimation of Q = D V on a ``log2 t``-qubit phase register (controlled
-powers Q^(2^m), then an inverse Fourier transform), measures the register,
-and maps the integer outcome ``k`` to the estimate ``sin^2(pi k / t)``.
-Outcomes therefore live on a fixed grid of ``t/2 + 1`` values; the estimate
-is within ``2 pi sqrt(beta (1 - beta)) / t + pi^2 / t^2`` of the true
-normalized forecast with probability at least ``8 / pi^2``.  Median boosting
-over an odd number of independent runs drives the failure probability below
-any requested ``delta``.
+A single run is textbook phase estimation of Q = D V on a ``log2 t``-qubit
+phase register: prepare the compiled forecasting state Psi, put the phase
+register in uniform superposition, apply the controlled powers Q^(2^m),
+inverse-Fourier-transform the register, measure it, and map the integer
+outcome ``k`` to the estimate ``sin^2(pi k / t)``.  Outcomes therefore live
+on a fixed grid of ``t/2 + 1`` values; the estimate is within
+``2 pi sqrt(beta (1 - beta)) / t + pi^2 / t^2`` of the true normalized
+forecast with probability at least ``8 / pi^2``.  Median boosting over an
+odd number of independent runs drives the failure probability below any
+requested ``delta``.
 
-The pre-measurement state is a deterministic function of (forest, input, t),
+The simulation does not build that circuit gate by gate.  Because the
+phase register starts uniform, the controlled powers leave the history
+state ``sum_k Q^k|Psi> |k> / sqrt(t)`` (Cleve, Ekert, Macchiavello, Mosca,
+quant-ph/9708016).  The engine therefore simulates only the work register:
+column ``k`` of a ``(2^w, t)`` array holds ``Q^k Psi``, filled by ``t - 1``
+plain applications of Q, and the inverse Fourier transform on the phase
+register is ``np.fft.fft`` along the columns divided by ``t``.  The width
+cap still counts work + phase qubits, since the ``t`` columns hold as many
+amplitudes as the textbook state.
+
+The outcome distribution is a deterministic function of (forest, input, t),
 so it is memoized; repetitions stay independent through their measurement
 seeds and draw from exactly the distribution a fresh simulation would give.
 
-Counting conventions (exposed through the result object): one preparation of
-the forecasting operator per run plus one forward and one inverse application
-inside each of the ``t - 1`` controlled Grover powers; each application walks
-``height`` levels, i.e. does ``height`` classical input queries.
+Counting conventions (exposed through the result object) are those of the
+textbook circuit, not of the simulator's work: one preparation of the
+forecasting operator per run plus one forward and one inverse application
+inside each of the ``t - 1`` controlled Grover powers; each application
+walks ``height`` levels, i.e. does ``height`` classical input queries.
 """
 from __future__ import annotations
 
@@ -26,8 +38,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gates as g
 from .compiler import CompiledCircuit, compile_forest_op, grover_iterate
+from .config import MAX_SIM_QUBITS
+from .exceptions import ResourceLimitError
 from .model import InputObject, RandomForest, beta_to_R
 from .statevector import Register, StateVector
 
@@ -124,31 +137,36 @@ def reconstruct_R(beta_estimate: float, y_min: float, y_max: float) -> float:
 
 
 class PhaseEstimation:
-    """Deterministic pre-measurement QPE state for one (circuit, t) pair."""
+    """Exact QPE outcome distribution for one (circuit, t) pair.
+
+    Built from the history state: column ``k`` of a ``(2^w, t)`` array is
+    ``Q^k Psi`` on the ``w``-qubit work register, and ``fft(cols) / t``
+    along the phase axis is the inverse-QFT output, so the distribution is
+    its squared modulus summed over the work register.  Only ``t``,
+    the ``phase`` register (laid out after the work qubits) and the
+    distribution are kept; the circuit is not.
+    """
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         if t < 2 or t & (t - 1):
             raise ValueError("t must be a power of two >= 2")
-        self.circuit = circuit
-        self.t = t
         phase_size = t.bit_length() - 1
+        width = circuit.num_qubits + phase_size
+        if width > MAX_SIM_QUBITS:
+            raise ResourceLimitError(
+                f"{width} qubits ({circuit.num_qubits} work + {phase_size} phase) "
+                f"exceeds the simulator cap of {MAX_SIM_QUBITS}"
+            )
+        self.t = t
         self.phase = Register("phase", circuit.num_qubits, phase_size)
-        sv = StateVector(circuit.num_qubits + phase_size)
-        sv.apply_all(circuit.gates)
-        for q in self.phase.qubits:
-            sv.apply(g.h(q))
+        sv = StateVector(circuit.num_qubits).apply_all(circuit.gates)
         iterate = grover_iterate(circuit)
-        for pos, q in enumerate(self.phase.qubits):
-            controlled_iterate = [g.controlled(gate, q) for gate in iterate]
-            for _ in range(1 << (phase_size - 1 - pos)):
-                sv.apply_all(controlled_iterate)
-        # Inverse Fourier transform on the (trailing) phase register.
-        mat = sv.amplitudes.reshape(-1, t)
-        grid = np.arange(t)
-        f_inv = np.exp(-2j * np.pi * np.outer(grid, grid) / t) / np.sqrt(t)
-        final = (mat @ f_inv.T).reshape(-1)
-        self._distribution = np.abs(final.reshape(-1, t)) ** 2
-        self._distribution = self._distribution.sum(axis=0)
+        cols = np.empty((sv.amplitudes.size, t), dtype=np.complex128, order="F")
+        cols[:, 0] = sv.amplitudes
+        for k in range(1, t):
+            cols[:, k] = sv.apply_all(iterate).amplitudes
+        readout = np.fft.fft(cols, axis=1) / t
+        self._distribution = (np.abs(readout) ** 2).sum(axis=0)
         self._cumulative = np.cumsum(self._distribution)
 
     def distribution(self) -> np.ndarray:

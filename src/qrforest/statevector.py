@@ -98,18 +98,8 @@ class StateVector:
             self._apply_block(g._block_for(gate), gate.target, gate.controls)
         elif gate.kind == "swap":
             self._apply_swap(*gate.qubits, gate.controls)
-        elif gate.kind == "ucg":
-            (blocks,) = gate.params
-            self._apply_ucg(gate.selects, gate.target, np.asarray(blocks, dtype=np.complex128),
-                            gate.controls)
-        elif gate.kind == "ucr":
-            (angles,) = gate.params
-            half = np.asarray(angles, dtype=np.float64) / 2.0
-            blocks = np.empty((len(angles), 2, 2), dtype=np.complex128)
-            blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(half)
-            blocks[:, 1, 0] = np.sin(half)
-            blocks[:, 0, 1] = -blocks[:, 1, 0]
-            self._apply_ucg(gate.selects, gate.target, blocks, gate.controls)
+        elif gate.kind in ("ucg", "ucr"):
+            self._apply_ucg(gate.selects, gate.target, gate.block_array, gate.controls)
         else:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
         return self

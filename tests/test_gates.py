@@ -88,6 +88,24 @@ def test_ucr_matrix_is_block_diagonal_rotations():
     np.testing.assert_allclose(m, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("kind", ("ucg", "ucr"))
+def test_block_array_is_lowered_once_and_read_only(kind):
+    rng = np.random.default_rng(6)
+    if kind == "ucg":
+        gate = g.ucg((0, 1), 2, [random_unitary_2x2(rng) for _ in range(4)])
+    else:
+        gate = g.ucr((0, 1), 2, rng.uniform(-math.pi, math.pi, size=4))
+    arr = gate.block_array
+    assert arr.shape == (4, 2, 2) and arr.dtype == np.complex128
+    assert gate.block_array is arr
+    assert not arr.flags.writeable
+    m = gate_matrix(gate, 3)
+    for k in range(4):
+        np.testing.assert_allclose(arr[k], m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], atol=1e-15)
+    with pytest.raises(ValueError):
+        g.h(0).block_array
+
+
 def test_block_and_angle_counts_validated():
     with pytest.raises(ValueError):
         g.ucg((0, 1), 2, [np.eye(2)] * 3)

@@ -1,11 +1,16 @@
+import gc
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_instance, single_attr_forest, two_leaf_tree
-from qrforest.compiler import compile_forest_op
+from qrforest import qae
+from qrforest.compiler import CompiledCircuit, compile_forest_op
 from qrforest.exceptions import ResourceLimitError
+from qrforest.gates import Gate
 from qrforest.model import InputObject, beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     EstimationResult,
@@ -106,15 +111,16 @@ def test_half_amplitude_distribution_at_t32():
     assert engine.estimate_of(int(np.argmax(dist))) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_engine_matches_dense_matrix_phase_estimation():
+@pytest.mark.parametrize("n, h, seed, t", [(1, 1, 83, 4), (2, 2, 84, 8)])
+def test_engine_matches_dense_matrix_phase_estimation(n, h, seed, t):
     """End-to-end oracle: rebuild the whole QPE pipeline with dense matrices
     (via gate_matrix and an explicit DFT matrix) and compare distributions."""
     from qrforest.compiler import grover_iterate
     from qrforest.gates import controlled, gate_matrix
 
-    forest, x = random_instance(1, 1, 83)
+    forest, x = random_instance(n, h, seed)
     circuit = compile_forest_op(forest, x)
-    t, p = 4, 2
+    p = t.bit_length() - 1
     width = circuit.num_qubits + p
     dim = 1 << width
 
@@ -127,7 +133,7 @@ def test_engine_matches_dense_matrix_phase_estimation():
     from qrforest import gates as g
 
     full = dense(circuit.gates)
-    full = dense([g.h(circuit.num_qubits), g.h(circuit.num_qubits + 1)]) @ full
+    full = dense([g.h(q) for q in range(circuit.num_qubits, width)]) @ full
     iterate = grover_iterate(circuit)
     for pos, q in enumerate(range(circuit.num_qubits, width)):
         power = 1 << (p - 1 - pos)
@@ -141,6 +147,35 @@ def test_engine_matches_dense_matrix_phase_estimation():
 
     engine = PhaseEstimation(circuit, t)
     np.testing.assert_allclose(engine.distribution(), expected, atol=1e-10)
+    closed_form = exact_outcome_distribution(beta_classical(forest, x), t)
+    np.testing.assert_allclose(engine.distribution(), closed_form, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((1, 2, 4)),
+    h=st.integers(1, 3),
+    t=st.sampled_from(tuple(2**k for k in range(1, 7))),
+    seed=st.integers(0, 2**20),
+)
+def test_engine_matches_closed_form_on_random_forests(n, h, t, seed):
+    forest, x = random_instance(n, h, seed)
+    dist = PhaseEstimation(compile_forest_op(forest, x), t).distribution()
+    expected = exact_outcome_distribution(beta_classical(forest, x), t)
+    np.testing.assert_allclose(dist, expected, atol=1e-12)
+    assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cached_engines_hold_no_circuit(monkeypatch):
+    monkeypatch.setattr(qae, "_ENGINE_CACHE", {})
+    forest = single_attr_forest(two_leaf_tree(0.0, 1.0), two_leaf_tree(1.0, 0.0))
+    for i in range(qae._ENGINE_CACHE_CAP):
+        circuit = compile_forest_op(forest, InputObject.of(i / qae._ENGINE_CACHE_CAP))
+        estimate_with_boosting(circuit, QaeConfig(t=4, repetitions=1, seed=i))
+    assert len(qae._ENGINE_CACHE) == qae._ENGINE_CACHE_CAP
+    for engine in qae._ENGINE_CACHE.values():
+        referents = gc.get_referents(engine) + gc.get_referents(vars(engine))
+        assert not any(isinstance(obj, (CompiledCircuit, Gate)) for obj in referents)
 
 
 def test_boosted_success_rate_at_beta_point_three():
@@ -318,6 +353,12 @@ def test_phase_register_width_is_capped(reference):
     circuit = compile_forest_op(*reference)
     with pytest.raises(ResourceLimitError):
         estimate_amplitude_once(circuit, QaeConfig(t=2**18, seed=0))
+
+
+def test_phase_register_width_is_checked_before_allocation(reference):
+    circuit = compile_forest_op(*reference)
+    with pytest.raises(ResourceLimitError, match="phase"):
+        PhaseEstimation(circuit, 2**40)
 
 
 def test_run_forecast_fills_target_scale(reference):
