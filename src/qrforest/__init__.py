@@ -49,21 +49,13 @@ from .qae import (
     QaeConfig,
     error_bound,
     error_bound_relaxed,
-    estimate_amplitude_once,
+    estimate_of,
     estimate_with_boosting,
     query_count,
-    reconstruct_R,
     repetitions_for_delta,
     run_forecast,
+    sample_outcomes,
 )
-from .statevector import (
-    Register,
-    StateVector,
-    apply_gate,
-    apply_ucr,
-    dump_amplitudes,
-    measure_probability,
-    sample,
-)
+from .statevector import Register, StateVector, dump_amplitudes
 
 __version__ = "0.1.0"

@@ -20,8 +20,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from .exceptions import DegenerateRangeError, QrfError, ResourceLimitError
 from .forest_io import load_forest, save_forest
 from .model import (
@@ -30,11 +28,12 @@ from .model import (
     METRIC_NAMES,
     PredictionPair,
     beta_classical,
+    beta_to_R,
     error_metric,
     forecast_classical,
     generate_random_forest,
 )
-from .qae import PhaseEstimation, QaeConfig, error_bound, query_count, reconstruct_R, run_forecast
+from .qae import QaeConfig, error_bound, estimate_of, query_count, run_forecast, sample_outcomes
 from .reference import REFERENCE_RUNS, REFERENCE_T, reference_forest, reference_input
 from .compiler import compile_forest_op
 from .exceptions import MetricError
@@ -70,18 +69,28 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_input(value: str) -> InputObject:
-    """--input takes a comma-separated value list, or a path to a file
-    containing one such line."""
+def _number_list(text: str) -> InputObject | None:
     try:
-        with open(value) as fh:
-            value = fh.read().strip()
-    except OSError:
-        pass
-    try:
-        return InputObject(tuple(float(v) for v in value.split(",")))
+        return InputObject(tuple(float(v) for v in text.split(",")))
     except ValueError:
-        raise QrfError(f"bad input values {value!r}") from None
+        return None
+
+
+def _parse_input(value: str) -> InputObject:
+    """--input takes a comma-separated number list; any other value is read
+    as the path of a file containing one such line.  The literal is tried
+    first, so a file can never shadow it."""
+    x = _number_list(value)
+    if x is None:
+        try:
+            with open(value) as fh:
+                value = fh.read().strip()
+        except OSError:
+            pass
+        x = _number_list(value)
+    if x is None:
+        raise QrfError(f"bad input values {value!r}")
+    return x
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -150,7 +159,7 @@ def cmd_forecast(args) -> int:
             t=args.t,
             repetitions=None if args.delta is not None else args.reps,
             delta=args.delta,
-            target=args.target,
+            target="r",
             seed=args.seed,
         )
         try:
@@ -164,13 +173,12 @@ def cmd_forecast(args) -> int:
             doc["quantum"] = {"degenerate_range": True, "r_estimate": constant}
             lines.append(f"quantum: degenerate range, constant forecast R={constant!r}")
         else:
-            r_estimate = reconstruct_R(result.beta_estimate, forest.y_min, forest.y_max)
             doc["quantum"] = {
                 "degenerate_range": False,
                 "t": result.t,
                 "repetitions": result.repetitions,
                 "beta_estimate": result.beta_estimate,
-                "r_estimate": r_estimate,
+                "r_estimate": result.r_estimate,
                 "error_bound": result.error_bound,
                 "grover_calls": result.grover_calls,
                 "u_invocations": result.u_invocations,
@@ -178,7 +186,7 @@ def cmd_forecast(args) -> int:
                 "raw_estimates": list(result.raw_estimates),
             }
             lines.append(
-                f"quantum: beta={result.beta_estimate!r} R={r_estimate!r} "
+                f"quantum: beta={result.beta_estimate!r} R={result.r_estimate!r} "
                 f"bound={result.error_bound!r} t={result.t} reps={result.repetitions} "
                 f"grover_calls={result.grover_calls} queries={query_count(result)}"
             )
@@ -186,7 +194,7 @@ def cmd_forecast(args) -> int:
                 if args.target == "beta" and classical_beta is not None:
                     pair = (classical_beta, result.beta_estimate)
                 else:
-                    pair = (classical_r, r_estimate)
+                    pair = (classical_r, result.r_estimate)
                 doc["comparison"] = _comparison_metrics(*pair)
                 lines.append(
                     "comparison: "
@@ -209,15 +217,12 @@ def cmd_reproduce(args) -> int:
     r_cl = forecast_classical(forest, x)
     spread = forest.y_max - forest.y_min
     bound = error_bound(beta_cl, args.t)
-    circuit = compile_forest_op(forest, x)
-    engine = PhaseEstimation(circuit, args.t)
+    outcomes = sample_outcomes(compile_forest_op(forest, x), args.t, args.seed, args.runs)
 
     runs = []
-    seeds = np.random.SeedSequence(args.seed).spawn(args.runs)
-    for i, s in enumerate(seeds):
-        outcome = engine.sample_outcome(np.random.default_rng(s))
-        beta_est = engine.estimate_of(outcome)
-        r_est = reconstruct_R(beta_est, forest.y_min, forest.y_max)
+    for i, outcome in enumerate(outcomes):
+        beta_est = estimate_of(outcome, args.t)
+        r_est = beta_to_R(beta_est, forest.y_min, forest.y_max)
         runs.append(
             {
                 "run": i,

@@ -118,9 +118,10 @@ def compile_times2(psi: Register) -> tuple[g.Gate, ...]:
     return tuple(g.swap(qs[i], qs[i + 1]) for i in range(len(qs) - 1))
 
 
-def _plus1_gate(level: int, rows, lam: Register, psi: Register) -> g.Gate:
+def compile_plus1(level: int, rows, lam: Register, psi: Register) -> g.Gate:
     """One walk stage's conditional +1: ucg over (lambda, high psi qubits)
-    flipping psi's low qubit where the parent outcome is true."""
+    flipping psi's low qubit where the parent outcome is true.  ``rows`` are
+    ``BranchOutcomeTable.rows`` for the trees under lambda."""
     h = psi.size - 1
     lo, hi = 1 << level, 1 << (level + 1)
     blocks = []
@@ -128,10 +129,6 @@ def _plus1_gate(level: int, rows, lam: Register, psi: Register) -> g.Gate:
         for v in range(1 << h):
             blocks.append(g._X if lo <= v < hi and row[v - 1] else g._ID)
     return g.ucg(lam.qubits + psi.qubits[:-1], psi.qubits[-1], blocks)
-
-
-def compile_plus1(level: int, outcomes: BranchOutcomeTable, lam: Register, psi: Register) -> g.Gate:
-    return _plus1_gate(level, outcomes.rows, lam, psi)
 
 
 def _leaf_rotation_gate(angle_rows, lam: Register, psi: Register, phi: Register) -> g.Gate:
@@ -159,7 +156,7 @@ def compile_tree_op(
     seq: list[g.Gate] = []
     for level in range(tree.height):
         seq.extend(compile_times2(psi))
-        seq.append(_plus1_gate(level, (outcomes.rows[tree_index],), lam, psi))
+        seq.append(compile_plus1(level, (outcomes.rows[tree_index],), lam, psi))
     seq.append(_leaf_rotation_gate((angles.rows[tree_index],), lam, psi, phi))
     return tuple(seq)
 
@@ -179,7 +176,7 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
     seq.append(g.x(psi.qubits[-1]))
     for level in range(h):
         seq.extend(compile_times2(psi))
-        seq.append(_plus1_gate(level, outcomes.rows, lam, psi))
+        seq.append(compile_plus1(level, outcomes.rows, lam, psi))
     seq.append(_leaf_rotation_gate(angles.rows, lam, psi, phi))
     return CompiledCircuit(
         registers=(lam, psi, phi),

@@ -19,3 +19,7 @@ MAX_DENSE_QUBITS = 10
 
 # Hard cap on simulated width; 2^22 complex amplitudes is 64 MiB.
 MAX_SIM_QUBITS = 22
+
+# Tallest forest accepted: trees pad to 2^h leaves, allocated before any
+# simulator width check.
+MAX_FOREST_HEIGHT = 20

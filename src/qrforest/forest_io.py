@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 
+from .config import MAX_FOREST_HEIGHT
 from .exceptions import ForestFormatError
 from .model import Attribute, DecisionTree, InputObject, Predicate, RandomForest
 
@@ -174,8 +175,8 @@ def load_forest(text: str) -> RandomForest:
     for name, value in (("n", n), ("h", h)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ForestFormatError(f"top level: {name} must be an integer >= 1")
-    if h > 20:
-        raise ForestFormatError("top level: h must be <= 20 (padding fills 2^h leaves)")
+    if h > MAX_FOREST_HEIGHT:
+        raise ForestFormatError(f"top level: h must be <= {MAX_FOREST_HEIGHT} (padding fills 2^h leaves)")
     schema = _parse_schema(doc["schema"], "schema")
     if not isinstance(doc["trees"], list):
         raise ForestFormatError("trees: expected a list")

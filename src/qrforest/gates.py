@@ -13,12 +13,12 @@ Conventions, fixed package-wide:
 
 All parameters are stored as plain tuples (matrices as nested 2x2 tuples),
 so gates are hashable and compare by value; ``inverse(inverse(g)) == g``
-exactly.  For the simulator kernels a ucg/ucr gate also lowers its
+exactly.  For the simulator kernels every gate but swap also lowers its
 parameters once, on first use, to a read-only ``(2^s, 2, 2)`` complex array
 (``Gate.block_array``).  ``gate_matrix`` builds the dense unitary by
-per-basis-state index arithmetic from the tuples, deliberately sharing no
-code with the strided kernels in ``statevector`` so the two can check each
-other.
+per-basis-state index arithmetic from the tuples through ``_block_for``,
+deliberately sharing no code with the lowering or with the strided kernels
+in ``statevector`` so the two can check each other.
 """
 from __future__ import annotations
 
@@ -78,12 +78,18 @@ class Gate:
 
     @cached_property
     def block_array(self) -> np.ndarray:
-        """ucg/ucr parameters as a read-only ``(2^s, 2, 2)`` complex array,
-        indexed by select value; built on first use, then kept."""
-        if self.kind == "ucg":
-            blocks = np.array(self.params[0], dtype=np.complex128)
-        elif self.kind == "ucr":
-            half = np.asarray(self.params[0], dtype=np.float64) / 2.0
+        """Parameters as a read-only ``(2^s, 2, 2)`` complex array indexed by
+        select value (``s = 0`` for h, x, ry and u); built on first use, then
+        kept."""
+        if self.kind == "h":
+            blocks = np.array([[[1, 1], [1, -1]]], dtype=np.complex128) / math.sqrt(2)
+        elif self.kind == "x":
+            blocks = np.array([[[0, 1], [1, 0]]], dtype=np.complex128)
+        elif self.kind in ("u", "ucg"):
+            blocks = np.array(self.params if self.kind == "u" else self.params[0], dtype=np.complex128)
+        elif self.kind in ("ry", "ucr"):
+            angles = self.params if self.kind == "ry" else self.params[0]
+            half = np.asarray(angles, dtype=np.float64) / 2.0
             blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
             blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(half)
             blocks[:, 1, 0] = np.sin(half)
@@ -92,6 +98,12 @@ class Gate:
             raise ValueError(f"kind {self.kind!r} has no block array")
         blocks.flags.writeable = False
         return blocks
+
+    @cached_property
+    def scalar_block(self) -> list[list[complex]]:
+        """``block_array[0]`` as Python complex scalars, which the one-qubit
+        kernel multiplies faster than numpy scalars."""
+        return self.block_array[0].tolist()
 
 
 def h(q: int) -> Gate:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_FOREST_HEIGHT
 from .exceptions import DegenerateRangeError, MetricError, SchemaMismatchError
 
 PREDICATE_KINDS = ("threshold-greater", "equals")
@@ -256,6 +257,8 @@ def generate_random_forest(
     """
     if n < 1 or h < 1:
         raise ValueError("need n >= 1 and h >= 1")
+    if h > MAX_FOREST_HEIGHT:
+        raise ValueError(f"h must be <= {MAX_FOREST_HEIGHT} (a tree holds 2^h leaves)")
     lo, hi = value_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError("value_range must be a finite (lo, hi) with lo <= hi")

@@ -130,10 +130,9 @@ def error_bound_relaxed(t: int) -> float:
     return 2.0 * math.pi / t + math.pi**2 / t**2
 
 
-def reconstruct_R(beta_estimate: float, y_min: float, y_max: float) -> float:
-    """Map a normalized estimate back to the leaf-label scale; the absolute
-    error scales by (y_max - y_min)."""
-    return beta_to_R(beta_estimate, y_min, y_max)
+def estimate_of(outcome: int, t: int) -> float:
+    """The amplitude estimate ``sin^2(pi k / t)`` read off phase outcome k."""
+    return math.sin(math.pi * outcome / t) ** 2
 
 
 class PhaseEstimation:
@@ -178,12 +177,6 @@ class PhaseEstimation:
         k = int(np.searchsorted(self._cumulative, r, side="right"))
         return min(k, self.t - 1)
 
-    def estimate_of(self, outcome: int) -> float:
-        return math.sin(math.pi * outcome / self.t) ** 2
-
-    def sample_estimate(self, rng: np.random.Generator) -> float:
-        return self.estimate_of(self.sample_outcome(rng))
-
 
 def _engine(circuit: CompiledCircuit, t: int) -> PhaseEstimation:
     key = (circuit.forest_hash, circuit.input_hash, hash(circuit.gates), t)
@@ -196,22 +189,20 @@ def _engine(circuit: CompiledCircuit, t: int) -> PhaseEstimation:
     return engine
 
 
-def estimate_amplitude_once(circuit: CompiledCircuit, config: QaeConfig) -> float:
-    """One phase-estimation run; returns an estimate on the sin^2(pi k/t) grid.
-
-    Seeded like the first repetition of a boosted run, so boosting with one
-    repetition reproduces this exactly.
-    """
-    seed = np.random.SeedSequence(config.seed).spawn(1)[0]
-    return _engine(circuit, config.t).sample_estimate(np.random.default_rng(seed))
+def sample_outcomes(circuit: CompiledCircuit, t: int, seed: int | None, count: int) -> tuple[int, ...]:
+    """Phase outcomes of ``count`` independent runs, run ``i`` drawing from
+    ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Every estimate in
+    the package is drawn here."""
+    engine = _engine(circuit, t)
+    seeds = np.random.SeedSequence(seed).spawn(count)
+    return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)
 
 
 def estimate_with_boosting(circuit: CompiledCircuit, config: QaeConfig) -> EstimationResult:
     """Median of independent runs (sub-seeded from config.seed)."""
     r = config.resolved_repetitions
-    engine = _engine(circuit, config.t)
-    seeds = np.random.SeedSequence(config.seed).spawn(r)
-    raw = tuple(engine.sample_estimate(np.random.default_rng(s)) for s in seeds)
+    outcomes = sample_outcomes(circuit, config.t, config.seed, r)
+    raw = tuple(estimate_of(k, config.t) for k in outcomes)
     beta = sorted(raw)[r // 2]
     return EstimationResult(
         beta_estimate=beta,
@@ -238,6 +229,6 @@ def run_forecast(forest: RandomForest, x: InputObject, config: QaeConfig) -> Est
     result = estimate_with_boosting(circuit, config)
     if config.target == "r":
         result = replace(
-            result, r_estimate=reconstruct_R(result.beta_estimate, forest.y_min, forest.y_max)
+            result, r_estimate=beta_to_R(result.beta_estimate, forest.y_min, forest.y_max)
         )
     return result

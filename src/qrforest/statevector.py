@@ -95,7 +95,7 @@ class StateVector:
             if q >= n:
                 raise ValueError(f"gate touches qubit {q} but state has {n}")
         if gate.kind in ("h", "x", "ry", "u"):
-            self._apply_block(g._block_for(gate), gate.target, gate.controls)
+            self._apply_block(gate.scalar_block, gate.target, gate.controls)
         elif gate.kind == "swap":
             self._apply_swap(*gate.qubits, gate.controls)
         elif gate.kind in ("ucg", "ucr"):
@@ -186,34 +186,6 @@ class StateVector:
         cum = np.cumsum(probs)
         k = int(np.searchsorted(cum, rng.random() * total, side="right"))
         return min(k, self._amp.size - 1)
-
-
-def apply_gate(state: StateVector, gate: g.Gate) -> StateVector:
-    """Apply one gate (in place; returns the state)."""
-    return state.apply(gate)
-
-
-def apply_ucr(state: StateVector, controls: Sequence[int], target: int, angles) -> StateVector:
-    """Rotate ``target`` by Ry(angles[k]) for each select value k."""
-    return state.apply(g.ucr(tuple(controls), target, angles))
-
-
-def _as_qubits(where) -> tuple[int, ...]:
-    if isinstance(where, Register):
-        return where.qubits
-    if isinstance(where, int):
-        return (where,)
-    return tuple(where)
-
-
-def measure_probability(state: StateVector, where, value: int) -> float:
-    """Marginal probability of ``value`` on a Register, qubit, or qubit list."""
-    return state.probability(_as_qubits(where), value)
-
-
-def sample(state: StateVector, seed) -> int:
-    """Seeded measurement of the full register in the computational basis."""
-    return state.sample(seed)
 
 
 def dump_amplitudes(state: StateVector) -> str:

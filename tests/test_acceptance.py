@@ -14,18 +14,16 @@ from conftest import gate_menu, random_instance, random_statevector
 from qrforest import gates as g
 from qrforest.compiler import build_D, build_V, compile_forest_op, compile_inverse
 from qrforest.gates import gate_matrix, swap_as_cnots
-from qrforest.model import beta_classical, forecast_classical
+from qrforest.model import beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     QaeConfig,
     error_bound,
-    estimate_amplitude_once,
     estimate_with_boosting,
     query_count,
-    reconstruct_R,
     repetitions_for_delta,
 )
 from qrforest.reference import reference_forest, reference_input
-from qrforest.statevector import StateVector, measure_probability
+from qrforest.statevector import StateVector
 
 
 def test_criterion_1_exact_amplitude_oracle():
@@ -40,7 +38,7 @@ def test_criterion_1_exact_amplitude_oracle():
         seed += 1
         circuit = compile_forest_op(forest, x)
         state = StateVector(circuit.num_qubits).apply_all(circuit.gates)
-        p = measure_probability(state, circuit.register("phi"), 1)
+        p = state.probability(circuit.register("phi").qubits, 1)
         worst = max(worst, abs(p - beta_classical(forest, x)))
         assert abs(p - beta_classical(forest, x)) < 1e-9
         count += 1
@@ -59,7 +57,7 @@ def test_criterion_2_single_run_confidence_bound():
     beta = beta_classical(forest, x)
     bound = 2 * math.pi * math.sqrt(beta * (1 - beta)) / 32 + math.pi**2 / 1024
     hits = sum(
-        abs(estimate_amplitude_once(circuit, QaeConfig(t=32, seed=s)) - beta) <= bound
+        abs(estimate_with_boosting(circuit, QaeConfig(t=32, seed=s)).beta_estimate - beta) <= bound
         for s in range(500)
     )
     rate = hits / 500
@@ -122,8 +120,8 @@ def test_criterion_5_raw_scale_reconstruction():
     bound = error_bound(beta, 32)
     rel_errors, in_bound = [], 0
     for s in range(500):
-        est = estimate_amplitude_once(circuit, QaeConfig(t=32, seed=s))
-        r_est = reconstruct_R(est, forest.y_min, forest.y_max)
+        est = estimate_with_boosting(circuit, QaeConfig(t=32, seed=s)).beta_estimate
+        r_est = beta_to_R(est, forest.y_min, forest.y_max)
         if abs(est - beta) <= bound:
             in_bound += 1
             assert abs(r_est - r_cl) <= spread * bound + 1e-12

@@ -4,8 +4,13 @@ import math
 import pytest
 
 from qrforest.cli import main
+from qrforest.compiler import compile_forest_op
+from qrforest.config import MAX_FOREST_HEIGHT
+from qrforest.exceptions import ForestFormatError
 from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import Attribute, beta_to_R
+from qrforest.qae import QaeConfig, estimate_with_boosting
+from qrforest.reference import reference_forest, reference_input
 from conftest import single_attr_forest, two_leaf_tree
 
 
@@ -37,6 +42,16 @@ def test_generate_to_stdout(capsys):
     assert run_cli("generate", "-n", "1", "--height", "1", "--attrs", "real") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n"] == 1
+
+
+def test_generate_rejects_height_above_limit(tmp_path):
+    out = tmp_path / "f.json"
+    assert run_cli("generate", "-n", "1", "--height", str(MAX_FOREST_HEIGHT + 1),
+                   "--attrs", "real", "--out", str(out)) == 3
+    assert not out.exists()
+    doc = {"n": 1, "h": MAX_FOREST_HEIGHT + 1, "schema": [{"kind": "real"}], "trees": []}
+    with pytest.raises(ForestFormatError, match="h must be"):
+        load_forest(json.dumps(doc))
 
 
 def test_forecast_classical_mean(tmp_path, capsys):
@@ -88,6 +103,16 @@ def test_forecast_input_from_file(tmp_path, capsys):
                    "--mode", "classical", "--format", "structured") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["input"] == [0.9]
+
+
+def test_forecast_literal_input_is_not_shadowed_by_a_file(tmp_path, monkeypatch, capsys):
+    path = write_two_tree_forest(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "0.2").write_text("0.9\n")
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2",
+                   "--mode", "classical", "--format", "structured") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["input"] == [0.2]
 
 
 def test_forecast_degenerate_range_short_circuits(tmp_path, capsys):
@@ -162,6 +187,22 @@ def test_reproduce_is_seed_deterministic(tmp_path):
         assert run_cli("reproduce", "--runs", "6", "--seed", "9",
                        "--format", "structured", "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_reproduce_golden_outcomes(capsys):
+    assert run_cli("reproduce", "--runs", "5", "--seed", "0", "--format", "structured") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["outcome"] for row in doc["results"]] == [28, 28, 28, 4, 28]
+
+
+@pytest.mark.parametrize("runs,seed", [(1, 0), (5, 0), (5, 9), (7, 3)])
+def test_reproduce_draws_the_boosting_stream(capsys, runs, seed):
+    assert run_cli("reproduce", "--runs", str(runs), "--seed", str(seed),
+                   "--format", "structured") == 0
+    doc = json.loads(capsys.readouterr().out)
+    circuit = compile_forest_op(reference_forest(), reference_input())
+    result = estimate_with_boosting(circuit, QaeConfig(t=doc["t"], repetitions=runs, seed=seed))
+    assert tuple(row["beta_estimate"] for row in doc["results"]) == result.raw_estimates
 
 
 def test_reproduce_text_format(capsys):

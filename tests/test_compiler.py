@@ -29,7 +29,7 @@ from qrforest.compiler import (
 from qrforest.exceptions import DegenerateRangeError, UnsupportedForestError
 from qrforest.gates import gate_matrix
 from qrforest.model import InputObject, beta_classical, walk_tree
-from qrforest.statevector import Register, StateVector, measure_probability
+from qrforest.statevector import Register, StateVector
 
 
 def _run(width, gates, basis=0):
@@ -67,14 +67,14 @@ def _outcome_table(rows, h):
 
 def test_plus1_adds_one_when_root_outcome_true():
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, 2)
-    gate = compile_plus1(0, _outcome_table([[True]], 1), lam, psi)
+    gate = compile_plus1(0, _outcome_table([[True]], 1).rows, lam, psi)
     sv = _run(2, [gate], basis=0b10)
     np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b11).amplitudes, atol=0)
 
 
 def test_plus1_leaves_value_when_root_outcome_false():
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, 2)
-    gate = compile_plus1(0, _outcome_table([[False]], 1), lam, psi)
+    gate = compile_plus1(0, _outcome_table([[False]], 1).rows, lam, psi)
     sv = _run(2, [gate], basis=0b10)
     np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b10).amplitudes, atol=0)
 
@@ -84,7 +84,7 @@ def test_plus1_tracks_outcomes_over_superposed_nodes():
     h = 2
     rows = [[False, True, False]]  # nodes 1..3
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, h + 1)
-    gate = compile_plus1(1, _outcome_table(rows, h), lam, psi)
+    gate = compile_plus1(1, _outcome_table(rows, h).rows, lam, psi)
     for parent in (2, 3):
         sv = _run(h + 1, [gate], basis=2 * parent)
         expected = 2 * parent + (1 if rows[0][parent - 1] else 0)
@@ -127,8 +127,8 @@ def test_tree_op_walks_and_rotates_h1():
         expected_leaf, label = walk_tree(tree, x)
         assert expected_leaf == leaf
         s2 = (label - 2.0) / 4.0
-        assert measure_probability(sv, (0, 1), leaf) == pytest.approx(1.0, abs=1e-12)
-        assert measure_probability(sv, 2, 1) == pytest.approx(s2, abs=1e-12)
+        assert sv.probability((0, 1), leaf) == pytest.approx(1.0, abs=1e-12)
+        assert sv.probability((2,), 1) == pytest.approx(s2, abs=1e-12)
 
 
 def test_tree_op_min_label_keeps_phi_zero():
@@ -136,7 +136,7 @@ def test_tree_op_min_label_keeps_phi_zero():
     x = InputObject.of(0.2)  # walks to the y_min leaf
     seq = compile_tree_op(forest.trees[0], 0, *_tables(forest, x))
     sv = _run(3, seq, basis=0b010)
-    assert measure_probability(sv, 2, 1) == 0.0
+    assert sv.probability((2,), 1) == 0.0
 
 
 def test_tree_op_max_label_flips_phi():
@@ -144,7 +144,7 @@ def test_tree_op_max_label_flips_phi():
     x = InputObject.of(0.9)  # walks to the y_max leaf
     seq = compile_tree_op(forest.trees[0], 0, *_tables(forest, x))
     sv = _run(3, seq, basis=0b010)
-    assert measure_probability(sv, 2, 1) == pytest.approx(1.0, abs=1e-12)
+    assert sv.probability((2,), 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forest_op_single_tree_reduces_to_tree_op():
@@ -159,7 +159,7 @@ def test_forest_op_phi_probability_is_beta(reference):
     forest, x = reference
     circuit = compile_forest_op(forest, x)
     sv = _run(circuit.num_qubits, circuit.gates)
-    p = measure_probability(sv, circuit.register("phi"), 1)
+    p = sv.probability(circuit.register("phi").qubits, 1)
     assert p == pytest.approx(beta_classical(forest, x), abs=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_forest_op_randomized_oracle(n, h):
         assert circuit.num_qubits == (n - 1).bit_length() + h + 2
         sv = _run(circuit.num_qubits, circuit.gates)
         sv.check_norm()
-        p = measure_probability(sv, circuit.register("phi"), 1)
+        p = sv.probability(circuit.register("phi").qubits, 1)
         assert p == pytest.approx(beta_classical(forest, x), abs=1e-9)
 
 
@@ -181,7 +181,7 @@ def test_forest_op_tree_marginal_is_uniform():
     sv = _run(circuit.num_qubits, circuit.gates)
     lam = circuit.register("lambda")
     for i in range(4):
-        assert measure_probability(sv, lam, i) == pytest.approx(0.25, abs=1e-9)
+        assert sv.probability(lam.qubits, i) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_forest_op_branches_land_on_walked_leaves():
@@ -191,7 +191,7 @@ def test_forest_op_branches_land_on_walked_leaves():
     lam, psi = circuit.register("lambda"), circuit.register("psi")
     for i, tree in enumerate(forest.trees):
         leaf, _ = walk_tree(tree, x)
-        joint = measure_probability(sv, lam.qubits + psi.qubits, (i << psi.size) | leaf)
+        joint = sv.probability(lam.qubits + psi.qubits, (i << psi.size) | leaf)
         assert joint == pytest.approx(1.0 / forest.n, abs=1e-10)
 
 

@@ -18,12 +18,12 @@ from qrforest.qae import (
     QaeConfig,
     error_bound,
     error_bound_relaxed,
-    estimate_amplitude_once,
+    estimate_of,
     estimate_with_boosting,
     query_count,
-    reconstruct_R,
     repetitions_for_delta,
     run_forecast,
+    sample_outcomes,
 )
 
 
@@ -64,13 +64,13 @@ def _half_beta_instance():
 def test_zero_amplitude_is_estimated_exactly():
     circuit = compile_forest_op(*_zero_beta_instance())
     for seed in range(10):
-        assert estimate_amplitude_once(circuit, QaeConfig(t=8, seed=seed)) == 0.0
+        assert estimate_with_boosting(circuit, QaeConfig(t=8, seed=seed)).beta_estimate == 0.0
 
 
 def test_full_amplitude_is_estimated_exactly():
     circuit = compile_forest_op(*_one_beta_instance())
     for seed in range(10):
-        assert estimate_amplitude_once(circuit, QaeConfig(t=8, seed=seed)) == 1.0
+        assert estimate_with_boosting(circuit, QaeConfig(t=8, seed=seed)).beta_estimate == 1.0
 
 
 def test_grid_exact_amplitude_is_deterministic():
@@ -81,7 +81,7 @@ def test_grid_exact_amplitude_is_deterministic():
     np.testing.assert_allclose(dist, [0.0, 0.5, 0.0, 0.5], atol=1e-12)
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        assert engine.sample_estimate(rng) == pytest.approx(0.5, abs=1e-12)
+        assert estimate_of(engine.sample_outcome(rng), 4) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", (8, 16, 32))
@@ -108,7 +108,7 @@ def test_half_amplitude_distribution_at_t32():
     expected = np.zeros(32)
     expected[8] = expected[24] = 0.5
     np.testing.assert_allclose(dist, expected, atol=1e-12)
-    assert engine.estimate_of(int(np.argmax(dist))) == pytest.approx(0.5, abs=1e-12)
+    assert estimate_of(int(np.argmax(dist)), 32) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("n, h, seed, t", [(1, 1, 83, 4), (2, 2, 84, 8)])
@@ -196,7 +196,7 @@ def test_empirical_frequencies_follow_distribution(reference):
     engine = PhaseEstimation(circuit, 32)
     dist = engine.distribution()
     mode = int(np.argmax(dist))
-    assert engine.estimate_of(mode) == pytest.approx(0.146446609406726, abs=1e-12)
+    assert estimate_of(mode, 32) == pytest.approx(0.146446609406726, abs=1e-12)
     rng = np.random.default_rng(81)
     draws = np.array([engine.sample_outcome(rng) for _ in range(4000)])
     freq = np.bincount(draws, minlength=32) / draws.size
@@ -207,14 +207,14 @@ def test_estimates_live_on_the_grid(reference):
     circuit = compile_forest_op(*reference)
     grid = _grid(32)
     for seed in range(200):
-        est = estimate_amplitude_once(circuit, QaeConfig(t=32, seed=seed))
+        est = estimate_with_boosting(circuit, QaeConfig(t=32, seed=seed)).beta_estimate
         assert any(abs(est - v) < 1e-12 for v in grid)
 
 
 def test_single_run_is_seed_deterministic(reference):
     circuit = compile_forest_op(*reference)
-    a = estimate_amplitude_once(circuit, QaeConfig(t=32, seed=7))
-    b = estimate_amplitude_once(circuit, QaeConfig(t=32, seed=7))
+    a = estimate_with_boosting(circuit, QaeConfig(t=32, seed=7)).beta_estimate
+    b = estimate_with_boosting(circuit, QaeConfig(t=32, seed=7)).beta_estimate
     assert a == b
 
 
@@ -222,8 +222,15 @@ def test_boosting_with_one_repetition_equals_single_run(reference):
     circuit = compile_forest_op(*reference)
     config = QaeConfig(t=32, repetitions=1, seed=3)
     result = estimate_with_boosting(circuit, config)
-    assert result.beta_estimate == estimate_amplitude_once(circuit, config)
     assert result.raw_estimates == (result.beta_estimate,)
+
+
+def test_sample_outcomes_are_the_boosted_runs(reference):
+    circuit = compile_forest_op(*reference)
+    outcomes = sample_outcomes(circuit, 32, 11, 5)
+    result = estimate_with_boosting(circuit, QaeConfig(t=32, repetitions=5, seed=11))
+    assert result.raw_estimates == tuple(estimate_of(k, 32) for k in outcomes)
+    assert sample_outcomes(circuit, 32, 11, 3) == outcomes[:3]
 
 
 def test_boosting_constant_estimates_return_that_value():
@@ -246,7 +253,7 @@ def test_single_run_success_rate(reference):
     beta = beta_classical(forest, x)
     bound = error_bound(beta, 32)
     hits = sum(
-        abs(estimate_amplitude_once(circuit, QaeConfig(t=32, seed=s)) - beta) <= bound
+        abs(estimate_with_boosting(circuit, QaeConfig(t=32, seed=s)).beta_estimate - beta) <= bound
         for s in range(300)
     )
     assert hits / 300 >= 0.76
@@ -283,11 +290,6 @@ def test_reference_bound_constants():
     assert subtractive == pytest.approx(0.0623, abs=5e-5)
     assert abs(0.1596 - 0.14645) <= subtractive
     assert abs(0.1596 - 0.14645) <= error_bound(0.14645, 32)
-
-
-def test_reconstruct_R_endpoints():
-    assert reconstruct_R(0.0, -2.0, 6.0) == -2.0
-    assert reconstruct_R(1.0, -2.0, 6.0) == 6.0
 
 
 def test_query_count_minimal_instance():
@@ -352,7 +354,7 @@ def test_repetitions_for_delta():
 def test_phase_register_width_is_capped(reference):
     circuit = compile_forest_op(*reference)
     with pytest.raises(ResourceLimitError):
-        estimate_amplitude_once(circuit, QaeConfig(t=2**18, seed=0))
+        estimate_with_boosting(circuit, QaeConfig(t=2**18, seed=0))
 
 
 def test_phase_register_width_is_checked_before_allocation(reference):

@@ -7,15 +7,7 @@ from conftest import gate_menu, random_statevector
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.gates import gate_matrix, swap_as_cnots
-from qrforest.statevector import (
-    Register,
-    StateVector,
-    apply_gate,
-    apply_ucr,
-    dump_amplitudes,
-    measure_probability,
-    sample,
-)
+from qrforest.statevector import Register, StateVector, dump_amplitudes
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -23,12 +15,12 @@ SQ2 = 1.0 / math.sqrt(2.0)
 def test_hadamard_on_zero():
     sv = StateVector(1).apply(g.h(0))
     np.testing.assert_allclose(sv.amplitudes, [SQ2, SQ2], atol=1e-15)
-    assert measure_probability(sv, 0, 1) == pytest.approx(0.5)
+    assert sv.probability((0,), 1) == pytest.approx(0.5)
 
 
 def test_ry_sets_requested_probability():
     sv = StateVector(1).apply(g.ry(0, 2.0 * math.asin(math.sqrt(0.25))))
-    assert measure_probability(sv, 0, 1) == pytest.approx(0.25, abs=1e-15)
+    assert sv.probability((0,), 1) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_cnot_flips_conditionally():
@@ -39,7 +31,7 @@ def test_cnot_flips_conditionally():
 
 
 def test_zero_state_probability():
-    assert measure_probability(StateVector(2), 1, 1) == 0.0
+    assert StateVector(2).probability((1,), 1) == 0.0
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))
@@ -73,7 +65,7 @@ def test_ry_opposite_angles_cancel():
 def test_ucr_zero_angles_is_identity():
     rng = np.random.default_rng(14)
     state = random_statevector(3, rng)
-    sv = apply_ucr(StateVector(3, state), (0, 1), 2, [0.0] * 4)
+    sv = StateVector(3, state).apply(g.ucr((0, 1), 2, [0.0] * 4))
     np.testing.assert_array_equal(sv.amplitudes, state)
 
 
@@ -82,7 +74,7 @@ def test_ucr_single_control_pi_flips_when_control_set():
     expected = np.eye(4)
     expected[2:, 2:] = [[0, -1], [1, 0]]
     for basis in range(4):
-        sv = apply_ucr(StateVector.basis(2, basis), (0,), 1, [0.0, math.pi])
+        sv = StateVector.basis(2, basis).apply(g.ucr((0,), 1, [0.0, math.pi]))
         np.testing.assert_allclose(sv.amplitudes, expected[:, basis], atol=1e-15)
 
 
@@ -98,7 +90,7 @@ def test_ucr_matches_block_diagonal_oracle():
                 [math.sin(a / 2), math.cos(a / 2)],
             ]
         state = random_statevector(n, rng)
-        fast = apply_ucr(StateVector(n, state), selects, n - 1, angles).amplitudes
+        fast = StateVector(n, state).apply(g.ucr(selects, n - 1, angles)).amplitudes
         assert np.abs(fast - dense @ state).max() < 1e-10
 
 
@@ -124,7 +116,7 @@ def test_norm_preserved_over_random_sequence():
 
 def test_sample_deterministic_basis_state():
     sv = StateVector.basis(3, 5)
-    assert all(sample(sv, seed) == 5 for seed in range(20))
+    assert all(sv.sample(seed) == 5 for seed in range(20))
 
 
 def test_sample_uniform_frequencies():
@@ -137,7 +129,7 @@ def test_sample_uniform_frequencies():
 
 def test_sample_seed_reproducibility():
     sv = StateVector(3).apply(g.h(0)).apply(g.h(2))
-    a = [sample(sv, 123) for _ in range(5)]
+    a = [sv.sample(123) for _ in range(5)]
     rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
     seq1 = [sv.sample(rng1) for _ in range(50)]
     seq2 = [sv.sample(rng2) for _ in range(50)]
@@ -154,11 +146,11 @@ def test_sample_rejects_unnormalized():
 def test_register_probability():
     reg = Register("psi", 1, 2)
     sv = StateVector.basis(3, 0b011)
-    assert measure_probability(sv, reg, 0b11) == 1.0
-    assert measure_probability(sv, reg, 0b01) == 0.0
-    assert measure_probability(sv, (0,), 0) == 1.0
+    assert sv.probability(reg.qubits, 0b11) == 1.0
+    assert sv.probability(reg.qubits, 0b01) == 0.0
+    assert sv.probability((0,), 0) == 1.0
     with pytest.raises(ValueError):
-        measure_probability(sv, reg, 4)
+        sv.probability(reg.qubits, 4)
 
 
 def test_out_of_range_qubit_rejected():
@@ -181,5 +173,5 @@ def test_dump_amplitudes_round_trip():
 
 def test_apply_gate_returns_same_object():
     sv = StateVector(1)
-    assert apply_gate(sv, g.x(0)) is sv
+    assert sv.apply(g.x(0)) is sv
     np.testing.assert_array_equal(sv.amplitudes, [0, 1])
