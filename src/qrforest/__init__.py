@@ -3,18 +3,16 @@ validated step by step against exact classical evaluation on a dense
 state-vector simulator."""
 
 from .compiler import (
-    BranchOutcomeTable,
     CompiledCircuit,
-    LeafAngleTable,
     build_D,
     build_V,
     compile_forest_op,
     compile_inverse,
     compile_plus1,
     compile_times2,
-    compile_tree_op,
     dump_circuit,
     grover_iterate,
+    leaf_angles,
 )
 from .exceptions import (
     DegenerateRangeError,
@@ -29,19 +27,18 @@ from .forest_io import load_forest, save_forest
 from .gates import Gate, gate_matrix, swap_as_cnots
 from .model import (
     Attribute,
-    DecisionTree,
     InputObject,
     METRIC_NAMES,
-    Predicate,
     PredictionPair,
     RandomForest,
     beta_classical,
     beta_to_R,
+    branch_outcomes,
     error_metric,
     forecast_classical,
     generate_random_forest,
     generate_random_input,
-    walk_tree,
+    walk_forest,
 )
 from .qae import (
     EstimationResult,

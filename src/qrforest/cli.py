@@ -365,8 +365,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_range(argv: list[str]) -> list[str]:
+    """argparse reads a value that starts with '-' as an option, so a spaced
+    negative range (``--range -2:5``) is passed on as ``--range=-2:5``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--range" and arg.startswith("-") and ":" in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_glue_negative_range(argv))
     try:
         return args.func(args)
     except ResourceLimitError as e:

@@ -18,7 +18,7 @@ on lambda and psi rotates phi by twice the leaf angle
 ``arcsin(sqrt((y - y_min) / (y_max - y_min)))``.
 
 Node predicates are evaluated classically against the known input when the
-outcome table is built (one lookup per walk level per application of the
+outcome array is built (one lookup per walk level per application of the
 operator); the circuit itself only branches on node indices.
 """
 from __future__ import annotations
@@ -26,61 +26,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import gates as g
 from .exceptions import DegenerateRangeError, UnsupportedForestError
 from .forest_io import forest_fingerprint, input_fingerprint
-from .model import DecisionTree, InputObject, RandomForest
+from .model import InputObject, RandomForest, branch_outcomes
 from .statevector import Register
 
 _BLOCK_NAMES = {g._ID: "I", g._X: "X", g._Z: "Z", g._NEG_ID: "-I"}
 
 
-@dataclass(frozen=True)
-class BranchOutcomeTable:
-    """Per tree, the predicate outcome of every internal node on one input.
-
-    ``rows[i][j - 1]`` is tree ``i``'s outcome at heap node ``j``; building a
-    row costs one classical input query per entry.
-    """
-
-    height: int
-    rows: tuple[tuple[bool, ...], ...]
-
-    @classmethod
-    def evaluate(cls, forest: RandomForest, x: InputObject) -> "BranchOutcomeTable":
-        x.validate_against(forest.schema)
-        h = forest.height
-        rows = tuple(
-            tuple(tree.nodes[j].evaluate(x.values) for j in range(1, 2**h))
-            for tree in forest.trees
-        )
-        return cls(h, rows)
-
-    def outcome(self, tree: int, node: int) -> bool:
-        return self.rows[tree][node - 1]
-
-
-@dataclass(frozen=True)
-class LeafAngleTable:
-    """Per tree, the phi rotation half-angle of every leaf; all in [0, pi/2]."""
-
-    height: int
-    rows: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_forest(cls, forest: RandomForest) -> "LeafAngleTable":
-        lo, hi = forest.y_min, forest.y_max
-        if hi <= lo:
-            raise DegenerateRangeError("all leaf labels equal; rotation angles undefined")
-        h = forest.height
-        rows = []
-        for tree in forest.trees:
-            ratios = [(tree.leaves[j] - lo) / (hi - lo) for j in range(2**h, 2 ** (h + 1))]
-            rows.append(tuple(math.asin(math.sqrt(min(1.0, max(0.0, r)))) for r in ratios))
-        return cls(h, tuple(rows))
-
-    def angle(self, tree: int, leaf: int) -> float:
-        return self.rows[tree][leaf - 2**self.height]
+def leaf_angles(forest: RandomForest) -> np.ndarray:
+    """``(n, 2^h)`` phi rotation half-angles, slot ``j`` for leaf ``2^h + j``;
+    all in [0, pi/2]."""
+    lo, hi = forest.y_min, forest.y_max
+    if hi <= lo:
+        raise DegenerateRangeError("all leaf labels equal; rotation angles undefined")
+    # math.asin per leaf: np.arcsin can differ by 1 ulp, which would change
+    # the ucr angles and dump_circuit.
+    ratios = ((forest.leaf - lo) / (hi - lo)).tolist()
+    return np.array([[math.asin(math.sqrt(min(1.0, max(0.0, r)))) for r in row] for row in ratios])
 
 
 @dataclass(frozen=True)
@@ -118,47 +84,23 @@ def compile_times2(psi: Register) -> tuple[g.Gate, ...]:
     return tuple(g.swap(qs[i], qs[i + 1]) for i in range(len(qs) - 1))
 
 
-def compile_plus1(level: int, rows, lam: Register, psi: Register) -> g.Gate:
+def compile_plus1(level: int, outcomes: np.ndarray, lam: Register, psi: Register) -> g.Gate:
     """One walk stage's conditional +1: ucg over (lambda, high psi qubits)
-    flipping psi's low qubit where the parent outcome is true.  ``rows`` are
-    ``BranchOutcomeTable.rows`` for the trees under lambda."""
-    h = psi.size - 1
-    lo, hi = 1 << level, 1 << (level + 1)
-    blocks = []
-    for row in rows:
-        for v in range(1 << h):
-            blocks.append(g._X if lo <= v < hi and row[v - 1] else g._ID)
-    return g.ucg(lam.qubits + psi.qubits[:-1], psi.qubits[-1], blocks)
+    flipping psi's low qubit where the parent outcome is true.  ``outcomes``
+    is the ``(trees, 2^h)`` array of ``model.branch_outcomes`` for the trees
+    under lambda."""
+    flips = np.zeros(outcomes.shape, dtype=bool)
+    flips[:, 1 << level : 2 << level] = outcomes[:, 1 << level : 2 << level]
+    return g.ucg(
+        lam.qubits + psi.qubits[:-1],
+        psi.qubits[-1],
+        [g._X if flip else g._ID for flip in flips.ravel().tolist()],
+    )
 
 
-def _leaf_rotation_gate(angle_rows, lam: Register, psi: Register, phi: Register) -> g.Gate:
-    h = psi.size - 1
-    angles = []
-    for row in angle_rows:
-        angles.extend([0.0] * (1 << h))
-        angles.extend(2.0 * a for a in row)
-    return g.ucr(lam.qubits + psi.qubits, phi.qubits[0], angles)
-
-
-def compile_tree_op(
-    tree: DecisionTree,
-    tree_index: int,
-    outcomes: BranchOutcomeTable,
-    angles: LeafAngleTable,
-) -> tuple[g.Gate, ...]:
-    """Single-tree walk-and-rotate operator, laid out with psi at qubit 0
-    (no lambda selects).  Expects psi = |1>, phi = |0> on input."""
-    if tree.height != outcomes.height or tree.height != angles.height:
-        raise ValueError("table heights do not match the tree")
-    lam = Register("lambda", 0, 0)
-    psi = Register("psi", 0, tree.height + 1)
-    phi = Register("phi", tree.height + 1, 1)
-    seq: list[g.Gate] = []
-    for level in range(tree.height):
-        seq.extend(compile_times2(psi))
-        seq.append(compile_plus1(level, (outcomes.rows[tree_index],), lam, psi))
-    seq.append(_leaf_rotation_gate((angles.rows[tree_index],), lam, psi, phi))
-    return tuple(seq)
+def _leaf_rotation_gate(angles: np.ndarray, lam: Register, psi: Register, phi: Register) -> g.Gate:
+    rows = np.concatenate([np.zeros(angles.shape), 2.0 * angles], axis=1)
+    return g.ucr(lam.qubits + psi.qubits, phi.qubits[0], rows.ravel().tolist())
 
 
 def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
@@ -169,15 +111,15 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
     n, h = forest.n, forest.height
     if n & (n - 1):
         raise UnsupportedForestError(f"tree count must be a power of two, got {n}")
-    outcomes = BranchOutcomeTable.evaluate(forest, x)
-    angles = LeafAngleTable.from_forest(forest)
+    outcomes = branch_outcomes(forest, x)
+    angles = leaf_angles(forest)
     lam, psi, phi = registers_for(n, h)
     seq: list[g.Gate] = [g.h(q) for q in lam.qubits]
     seq.append(g.x(psi.qubits[-1]))
     for level in range(h):
         seq.extend(compile_times2(psi))
-        seq.append(compile_plus1(level, outcomes.rows, lam, psi))
-    seq.append(_leaf_rotation_gate(angles.rows, lam, psi, phi))
+        seq.append(compile_plus1(level, outcomes, lam, psi))
+    seq.append(_leaf_rotation_gate(angles, lam, psi, phi))
     return CompiledCircuit(
         registers=(lam, psi, phi),
         gates=tuple(seq),

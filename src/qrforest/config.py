@@ -20,6 +20,7 @@ MAX_DENSE_QUBITS = 10
 # Hard cap on simulated width; 2^22 complex amplitudes is 64 MiB.
 MAX_SIM_QUBITS = 22
 
-# Tallest forest accepted: trees pad to 2^h leaves, allocated before any
-# simulator width check.
-MAX_FOREST_HEIGHT = 20
+# Largest forest accepted, in slots: a forest of n trees of height h is four
+# (n, 2^h) arrays (21 bytes a slot), allocated before any simulator width
+# check, so n * 2^h is checked before anything is allocated or drawn.
+MAX_FOREST_SLOTS = 2**20

@@ -16,8 +16,11 @@ Document layout::
 Heap indices are serialized as decimal strings.  ``h`` is the forest height;
 a tree may declare a leaf at an internal index (a branch shorter than ``h``),
 in which case loading pads the branch with pass-through nodes that carry the
-leaf label down to depth ``h``, so every stored tree is full.  Unknown fields
-anywhere are rejected.
+leaf label down to depth ``h``, so every stored tree is full.  Loading parses
+straight into the ``(n, 2^h)`` arrays of ``model.RandomForest``, after
+checking ``n * 2^h`` against ``config.MAX_FOREST_SLOTS``; an early leaf
+fills one contiguous range of leaf slots.  Unknown fields anywhere are
+rejected.
 
 ``save_forest`` is canonical (fixed key order, numerically sorted indices,
 shortest-round-trip floats), so equal forests serialize to identical bytes
@@ -29,13 +32,11 @@ import hashlib
 import json
 import math
 
-from .config import MAX_FOREST_HEIGHT
-from .exceptions import ForestFormatError
-from .model import Attribute, DecisionTree, InputObject, Predicate, RandomForest
+import numpy as np
 
-# Outcome of a pass-through node never matters (both children carry the same
-# label); attribute 1 always exists.
-_PASS_THROUGH = Predicate("threshold-greater", 1, 0.0)
+from .config import MAX_FOREST_SLOTS
+from .exceptions import ForestFormatError
+from .model import EQUALS, PREDICATE_KINDS, Attribute, InputObject, RandomForest
 
 
 def _require_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -85,12 +86,12 @@ def _parse_schema(raw, where: str) -> tuple[Attribute, ...]:
     return tuple(out)
 
 
-def _parse_predicate(raw, schema: tuple[Attribute, ...], where: str) -> Predicate:
+def _parse_predicate(raw, schema: tuple[Attribute, ...], where: str) -> tuple[int, int, float]:
     if not isinstance(raw, dict):
         raise ForestFormatError(f"{where}: expected an object")
     _require_keys(raw, ("kind", "attr", "threshold"), where)
     kind = raw["kind"]
-    if kind not in ("threshold-greater", "equals"):
+    if kind not in PREDICATE_KINDS:
         raise ForestFormatError(f"{where}: unknown predicate kind {kind!r}")
     attr = raw["attr"]
     if isinstance(attr, bool) or not isinstance(attr, int) or not 1 <= attr <= len(schema):
@@ -102,48 +103,20 @@ def _parse_predicate(raw, schema: tuple[Attribute, ...], where: str) -> Predicat
             raise ForestFormatError(f"{where}: equals predicate needs a discrete attribute")
         if threshold != int(threshold) or not 1 <= threshold <= a.categories:
             raise ForestFormatError(f"{where}: equals threshold must be a category in [1, {a.categories}]")
-    return Predicate(kind, attr, threshold)
+    return PREDICATE_KINDS.index(kind), attr, threshold
 
 
-def _pad_tree(h: int, nodes: dict[int, Predicate], leaves: dict[int, float], where: str) -> DecisionTree:
-    """Walk the declared heap from the root, padding early leaves down to
-    depth ``h`` and rejecting gaps or unreachable entries."""
-    full_nodes: dict[int, Predicate] = {}
-    full_leaves: dict[int, float] = {}
-
-    def fill(j: int, label: float) -> None:
-        if j >= 2**h:
-            full_leaves[j] = label
-        else:
-            full_nodes[j] = _PASS_THROUGH
-            fill(2 * j, label)
-            fill(2 * j + 1, label)
-
-    reached: set[int] = set()
-    stack = [1]
-    while stack:
-        j = stack.pop()
-        reached.add(j)
-        if j in leaves:
-            fill(j, leaves[j])
-        elif j in nodes:
-            full_nodes[j] = nodes[j]
-            stack.extend((2 * j, 2 * j + 1))
-        else:
-            raise ForestFormatError(f"{where}: missing entry for index {j}")
-    for j in sorted(set(nodes) | set(leaves)):
-        if j not in reached:
-            raise ForestFormatError(f"{where}: index {j} is unreachable from the root")
-    return DecisionTree(h, full_nodes, full_leaves)
-
-
-def _parse_tree(raw, h: int, schema: tuple[Attribute, ...], where: str) -> DecisionTree:
+def _parse_tree(raw, h: int, schema: tuple[Attribute, ...], where: str, row: tuple[np.ndarray, ...]) -> None:
+    """Parse one tree into its row views ``(kind, attribute, threshold,
+    leaf)``, which start as pass-through nodes.  Walks the declared heap from
+    the root, rejecting gaps and unreachable entries; a leaf at depth ``d``
+    fills the ``2^(h - d)`` leaf slots below it."""
     if not isinstance(raw, dict):
         raise ForestFormatError(f"{where}: expected an object")
     _require_keys(raw, ("nodes", "leaves"), where)
     if not isinstance(raw["nodes"], dict) or not isinstance(raw["leaves"], dict):
         raise ForestFormatError(f"{where}: nodes and leaves must be objects")
-    nodes: dict[int, Predicate] = {}
+    nodes: dict[int, tuple[int, int, float]] = {}
     for key, value in raw["nodes"].items():
         loc = f"{where}.nodes[{key!r}]"
         j = _parse_index(key, loc)
@@ -159,11 +132,31 @@ def _parse_tree(raw, h: int, schema: tuple[Attribute, ...], where: str) -> Decis
         if j in nodes:
             raise ForestFormatError(f"{loc}: index {j} declared as both node and leaf")
         leaves[j] = _parse_number(value, loc)
-    return _pad_tree(h, nodes, leaves, where)
+
+    kind, attribute, threshold, leaf = row
+    reached: set[int] = set()
+    stack = [1]
+    while stack:
+        j = stack.pop()
+        reached.add(j)
+        if j in leaves:
+            below = h + 1 - j.bit_length()
+            leaf[(j << below) - 2**h : ((j + 1) << below) - 2**h] = leaves[j]
+        elif j in nodes:
+            stack.extend((2 * j, 2 * j + 1))
+        else:
+            raise ForestFormatError(f"{where}: missing entry for index {j}")
+    for j in sorted(set(nodes) | set(leaves)):
+        if j not in reached:
+            raise ForestFormatError(f"{where}: index {j} is unreachable from the root")
+    if nodes:
+        at = list(nodes)
+        kind[at], attribute[at], threshold[at] = zip(*nodes.values())
 
 
 def load_forest(text: str) -> RandomForest:
-    """Parse a forest document, padding short branches to full height."""
+    """Parse a forest document straight into the forest arrays, padding short
+    branches to full height."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -175,17 +168,27 @@ def load_forest(text: str) -> RandomForest:
     for name, value in (("n", n), ("h", h)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ForestFormatError(f"top level: {name} must be an integer >= 1")
-    if h > MAX_FOREST_HEIGHT:
-        raise ForestFormatError(f"top level: h must be <= {MAX_FOREST_HEIGHT} (padding fills 2^h leaves)")
+    if n > MAX_FOREST_SLOTS >> h:
+        raise ForestFormatError(
+            f"top level: n * 2^h must be <= {MAX_FOREST_SLOTS} (the forest arrays hold n * 2^h slots)"
+        )
     schema = _parse_schema(doc["schema"], "schema")
     if not isinstance(doc["trees"], list):
         raise ForestFormatError("trees: expected a list")
     if len(doc["trees"]) != n:
         raise ForestFormatError(f"trees: n is {n} but {len(doc['trees'])} trees given")
-    trees = tuple(
-        _parse_tree(raw, h, schema, f"trees[{i}]") for i, raw in enumerate(doc["trees"])
+    # Slots a declared node does not overwrite stay pass-through nodes: their
+    # outcome never matters (both children carry the same label), and
+    # attribute 1 always exists.
+    arrays = (
+        np.zeros((n, 2**h), dtype=np.int8),
+        np.ones((n, 2**h), dtype=np.int32),
+        np.zeros((n, 2**h)),
+        np.empty((n, 2**h)),
     )
-    return RandomForest(trees, schema)
+    for i, raw in enumerate(doc["trees"]):
+        _parse_tree(raw, h, schema, f"trees[{i}]", tuple(a[i] for a in arrays))
+    return RandomForest(schema, *arrays)
 
 
 def save_forest(forest: RandomForest) -> str:
@@ -194,17 +197,20 @@ def save_forest(forest: RandomForest) -> str:
         {"kind": a.kind} if a.kind == "real" else {"kind": "discrete", "categories": a.categories}
         for a in forest.schema
     ]
+    width = forest.leaf.shape[1]
     trees = []
-    for tree in forest.trees:
+    for kinds, attrs, thresholds, labels in zip(
+        forest.kind.tolist(), forest.attribute.tolist(), forest.threshold.tolist(), forest.leaf.tolist()
+    ):
         nodes = {
             str(j): {
-                "kind": p.kind,
-                "attr": p.attribute,
-                "threshold": int(p.threshold) if p.kind == "equals" else p.threshold,
+                "kind": PREDICATE_KINDS[kinds[j]],
+                "attr": attrs[j],
+                "threshold": int(thresholds[j]) if kinds[j] == EQUALS else thresholds[j],
             }
-            for j, p in sorted(tree.nodes.items())
+            for j in range(1, width)
         }
-        leaves = {str(j): y for j, y in sorted(tree.leaves.items())}
+        leaves = {str(width + j): y for j, y in enumerate(labels)}
         trees.append({"nodes": nodes, "leaves": leaves})
     doc = {"n": forest.n, "h": forest.height, "schema": schema, "trees": trees}
     return json.dumps(doc, indent=2) + "\n"

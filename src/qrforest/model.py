@@ -1,11 +1,14 @@
 """Trained regression forests and their exact classical evaluation.
 
-A decision tree is stored as a full binary heap of fixed depth: internal
-nodes occupy indices ``1 .. 2^h - 1`` (root = 1, children of ``j`` are
-``2j`` for a false predicate and ``2j + 1`` for a true one) and leaves
-occupy ``2^h .. 2^(h+1) - 1``.  Walking a tree is therefore ``h`` rounds of
-``j <- 2j + outcome``.  Trees of non-uniform depth are padded to this shape
-at load time (see ``forest_io``).
+A decision tree is a full binary heap of fixed depth: internal nodes occupy
+indices ``1 .. 2^h - 1`` (root = 1, children of ``j`` are ``2j`` for a
+false predicate and ``2j + 1`` for a true one) and leaves occupy
+``2^h .. 2^(h+1) - 1``.  A forest of ``n`` such trees is four ``(n, 2^h)``
+arrays: predicate kind, attribute and threshold at slot ``j`` for node
+``j``, and the label of leaf ``2^h + j`` at slot ``j``.  Walking every tree
+is ``h`` rounds of ``j <- 2j + outcome`` over an ``(n,)`` index vector.
+Trees of non-uniform depth are padded to this shape at load time (see
+``forest_io``); ``n * 2^h`` is capped by ``config.MAX_FOREST_SLOTS``.
 
 The forest forecast for an input is the mean of the per-tree leaf labels.
 Its normalized form ``beta = mean((y_i - y_min) / (y_max - y_min))`` lies in
@@ -15,14 +18,15 @@ estimate back to the raw forecast scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_FOREST_HEIGHT
+from .config import MAX_FOREST_SLOTS
 from .exceptions import DegenerateRangeError, MetricError, SchemaMismatchError
 
 PREDICATE_KINDS = ("threshold-greater", "equals")
+EQUALS = PREDICATE_KINDS.index("equals")
 METRIC_NAMES = ("MAE", "MSE", "RMSE", "MAPE", "wMAPE", "sMAPE")
 
 
@@ -51,106 +55,62 @@ class Attribute:
         return True
 
 
-@dataclass(frozen=True)
-class Predicate:
-    """Node condition on one attribute (1-based index).
+@dataclass(frozen=True, eq=False)
+class RandomForest:
+    """``n`` equally tall decision trees over a common attribute schema,
+    stored as four ``(n, 2^h)`` arrays.
 
-    ``threshold-greater`` tests ``x > threshold`` and is allowed on both
-    attribute kinds; ``equals`` tests ``x == threshold`` against a category
-    value and only makes sense on discrete attributes.
+    In ``kind``, ``attribute`` and ``threshold``, slot ``j`` of row ``i`` is
+    tree ``i``'s heap node ``j`` (slot 0 is unused): the predicate kind as an
+    index into ``PREDICATE_KINDS``, its 1-based attribute and its threshold.
+    ``threshold-greater`` tests ``x > threshold`` on either attribute kind;
+    ``equals`` tests ``x == threshold`` against a category.  Slot ``j`` of
+    ``leaf`` is the label of leaf ``2^h + j``.  The arrays are read-only, and
+    ``y_min``/``y_max`` are computed once here.
     """
 
-    kind: str
-    attribute: int
-    threshold: float
-
-    def __post_init__(self):
-        if self.kind not in PREDICATE_KINDS:
-            raise ValueError(f"unknown predicate kind {self.kind!r}")
-        if self.attribute < 1:
-            raise ValueError("attribute index is 1-based")
-
-    def evaluate(self, values: tuple[float, ...]) -> bool:
-        if self.attribute > len(values):
-            raise SchemaMismatchError(
-                f"predicate references attribute {self.attribute} "
-                f"but input has {len(values)}"
-            )
-        v = values[self.attribute - 1]
-        return v > self.threshold if self.kind == "threshold-greater" else v == self.threshold
-
-
-@dataclass(frozen=True)
-class DecisionTree:
-    """Full padded tree of height ``h``: every internal slot has a predicate,
-    every leaf slot a real label."""
-
-    height: int
-    nodes: dict[int, Predicate]
-    leaves: dict[int, float]
-
-    def __post_init__(self):
-        h = self.height
-        if h < 1:
-            raise ValueError("tree height must be >= 1")
-        internal = set(range(1, 2**h))
-        leaf_range = set(range(2**h, 2 ** (h + 1)))
-        if set(self.nodes) != internal:
-            missing = sorted(internal - set(self.nodes)) or sorted(set(self.nodes) - internal)
-            raise ValueError(f"internal nodes must cover [1, {2**h - 1}]; offending index {missing[0]}")
-        if set(self.leaves) != leaf_range:
-            missing = sorted(leaf_range - set(self.leaves)) or sorted(set(self.leaves) - leaf_range)
-            raise ValueError(
-                f"leaves must cover [{2**h}, {2**(h + 1) - 1}]; offending index {missing[0]}"
-            )
-        for j, y in self.leaves.items():
-            if not math.isfinite(y):
-                raise ValueError(f"leaf {j} label is not finite")
-
-    @property
-    def leaf_count(self) -> int:
-        return 2**self.height
-
-
-@dataclass(frozen=True)
-class RandomForest:
-    """A set of equally tall decision trees over a common attribute schema."""
-
-    trees: tuple[DecisionTree, ...]
     schema: tuple[Attribute, ...]
+    kind: np.ndarray
+    attribute: np.ndarray
+    threshold: np.ndarray
+    leaf: np.ndarray
+    y_min: float = field(init=False)
+    y_max: float = field(init=False)
 
     def __post_init__(self):
-        if not self.trees:
-            raise ValueError("forest needs at least one tree")
         if not self.schema:
             raise ValueError("forest needs at least one attribute")
-        h = self.trees[0].height
-        if any(t.height != h for t in self.trees):
+        arrays = {
+            "kind": np.asarray(self.kind, dtype=np.int8),
+            "attribute": np.asarray(self.attribute, dtype=np.int32),
+            "threshold": np.asarray(self.threshold, dtype=np.float64),
+            "leaf": np.asarray(self.leaf, dtype=np.float64),
+        }
+        shape = arrays["leaf"].shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 2 or shape[1] & (shape[1] - 1):
+            raise ValueError("forest arrays need shape (n, 2^h) with n >= 1 and h >= 1")
+        if any(a.shape != shape for a in arrays.values()):
             raise ValueError("all trees must share one (padded) height")
-        d = len(self.schema)
-        for i, tree in enumerate(self.trees):
-            for j, pred in tree.nodes.items():
-                if pred.attribute > d:
-                    raise ValueError(
-                        f"tree {i} node {j} references attribute {pred.attribute} "
-                        f"but schema has {d}"
-                    )
+        kinds, attrs = arrays["kind"][:, 1:], arrays["attribute"][:, 1:]
+        if kinds.min() < 0 or kinds.max() >= len(PREDICATE_KINDS):
+            raise ValueError("predicate kind code must index PREDICATE_KINDS")
+        if attrs.min() < 1 or attrs.max() > len(self.schema):
+            raise ValueError(f"predicate attributes must lie in [1, {len(self.schema)}]")
+        if not np.isfinite(arrays["leaf"]).all():
+            raise ValueError("leaf labels must be finite")
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "y_min", float(arrays["leaf"].min()))
+        object.__setattr__(self, "y_max", float(arrays["leaf"].max()))
 
     @property
     def n(self) -> int:
-        return len(self.trees)
+        return self.leaf.shape[0]
 
     @property
     def height(self) -> int:
-        return self.trees[0].height
-
-    @property
-    def y_min(self) -> float:
-        return min(y for t in self.trees for y in t.leaves.values())
-
-    @property
-    def y_max(self) -> float:
-        return max(y for t in self.trees for y in t.leaves.values())
+        return self.leaf.shape[1].bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -179,18 +139,35 @@ class PredictionPair:
     forecast: float
 
 
-def walk_tree(tree: DecisionTree, x: InputObject) -> tuple[int, float]:
-    """Walk from the root to a leaf; returns (leaf heap index, leaf label)."""
-    j = 1
-    for _ in range(tree.height):
-        j = 2 * j + (1 if tree.nodes[j].evaluate(x.values) else 0)
-    return j, tree.leaves[j]
+def branch_outcomes(forest: RandomForest, x: InputObject) -> np.ndarray:
+    """``(n, 2^h)`` bool array: slot ``j`` of row ``i`` is tree ``i``'s
+    predicate outcome at heap node ``j`` on ``x`` (slot 0 is meaningless)."""
+    x.validate_against(forest.schema)
+    v = np.array(x.values)[forest.attribute - 1]
+    return np.where(forest.kind == EQUALS, v == forest.threshold, v > forest.threshold)
+
+
+def walk_forest(forest: RandomForest, x: InputObject) -> np.ndarray:
+    """Leaf heap index reached in every tree: ``h`` rounds of
+    ``j <- 2j + outcome`` over all trees at once."""
+    taken = branch_outcomes(forest, x)
+    rows = np.arange(forest.n)
+    j = np.ones(forest.n, dtype=np.intp)
+    for _ in range(forest.height):
+        j = 2 * j + taken[rows, j]
+    return j
+
+
+def _walked_labels(forest: RandomForest, x: InputObject) -> list[float]:
+    leaves = walk_forest(forest, x) - forest.leaf.shape[1]
+    return forest.leaf[np.arange(forest.n), leaves].tolist()
 
 
 def forecast_classical(forest: RandomForest, x: InputObject) -> float:
     """Mean leaf label over all trees: the exact classical forecast."""
-    x.validate_against(forest.schema)
-    return sum(walk_tree(t, x)[1] for t in forest.trees) / forest.n
+    # Python sum in tree order: np.sum adds in another order and can change
+    # the last bit.
+    return sum(_walked_labels(forest, x)) / forest.n
 
 
 def beta_classical(forest: RandomForest, x: InputObject) -> float:
@@ -199,7 +176,7 @@ def beta_classical(forest: RandomForest, x: InputObject) -> float:
     lo, hi = forest.y_min, forest.y_max
     if hi <= lo:
         raise DegenerateRangeError("all leaf labels equal; normalized target undefined")
-    return sum((walk_tree(t, x)[1] - lo) for t in forest.trees) / (forest.n * (hi - lo))
+    return sum(y - lo for y in _walked_labels(forest, x)) / (forest.n * (hi - lo))
 
 
 def beta_to_R(beta: float, y_min: float, y_max: float) -> float:
@@ -257,25 +234,27 @@ def generate_random_forest(
     """
     if n < 1 or h < 1:
         raise ValueError("need n >= 1 and h >= 1")
-    if h > MAX_FOREST_HEIGHT:
-        raise ValueError(f"h must be <= {MAX_FOREST_HEIGHT} (a tree holds 2^h leaves)")
+    if n > MAX_FOREST_SLOTS >> h:
+        raise ValueError(f"n * 2^h must be <= {MAX_FOREST_SLOTS} (the forest arrays hold n * 2^h slots)")
     lo, hi = value_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError("value_range must be a finite (lo, hi) with lo <= hi")
     rng = np.random.default_rng(seed)
-    trees = []
-    for _ in range(n):
-        nodes = {}
+    kind = np.zeros((n, 2**h), dtype=np.int8)
+    attribute = np.ones((n, 2**h), dtype=np.int32)
+    threshold = np.zeros((n, 2**h))
+    leaf = np.empty((n, 2**h))
+    for i in range(n):
         for j in range(1, 2**h):
-            attr_i = int(rng.integers(0, len(schema)))
-            attr = schema[attr_i]
-            if attr.kind == "real":
-                nodes[j] = Predicate("threshold-greater", attr_i + 1, float(rng.random()))
+            a = int(rng.integers(0, len(schema)))
+            attribute[i, j] = a + 1
+            if schema[a].kind == "real":
+                threshold[i, j] = rng.random()
             else:
-                nodes[j] = Predicate("equals", attr_i + 1, float(rng.integers(1, attr.categories + 1)))
-        leaves = {j: lo + (hi - lo) * float(rng.random()) for j in range(2**h, 2 ** (h + 1))}
-        trees.append(DecisionTree(h, nodes, leaves))
-    return RandomForest(tuple(trees), tuple(schema))
+                kind[i, j] = EQUALS
+                threshold[i, j] = rng.integers(1, schema[a].categories + 1)
+        leaf[i] = lo + (hi - lo) * rng.random(2**h)
+    return RandomForest(tuple(schema), kind, attribute, threshold, leaf)
 
 
 def generate_random_input(schema: tuple[Attribute, ...], seed: int) -> InputObject:

@@ -57,8 +57,13 @@ def repetitions_for_delta(delta: float) -> int:
     """Smallest odd repetition count >= 12 ln(1/delta)."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    r = max(1, math.ceil(_BOOST_CONSTANT * math.log(1.0 / delta)))
+    r = max(1, math.ceil(_BOOST_CONSTANT * -math.log(delta)))
     return r if r % 2 else r + 1
+
+
+# No failure bound needs more runs than the smallest positive double does
+# (8935), so no request for more is ever useful.
+MAX_REPETITIONS = repetitions_for_delta(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,10 @@ def sample_outcomes(circuit: CompiledCircuit, t: int, seed: int | None, count: i
     """Phase outcomes of ``count`` independent runs, run ``i`` drawing from
     ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Every estimate in
     the package is drawn here."""
+    if count > MAX_REPETITIONS:
+        raise ResourceLimitError(
+            f"{count} runs requested; no failure bound needs more than {MAX_REPETITIONS}"
+        )
     engine = _engine(circuit, t)
     seeds = np.random.SeedSequence(seed).spawn(count)
     return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)

@@ -9,33 +9,22 @@ expected classical/quantum pair (0.1596, 0.14645).
 """
 from __future__ import annotations
 
-from .model import Attribute, DecisionTree, InputObject, Predicate, RandomForest
+from .model import EQUALS, Attribute, InputObject, RandomForest
 
 REFERENCE_T = 32
 REFERENCE_RUNS = 10
 
 
 def reference_forest() -> RandomForest:
-    binary = Attribute("discrete", 2)
-    tree0 = DecisionTree(
-        height=2,
-        nodes={
-            1: Predicate("equals", 1, 2.0),
-            2: Predicate("equals", 2, 2.0),
-            3: Predicate("equals", 3, 1.0),
-        },
-        leaves={4: 0.5, 5: 1.4, 6: 0.4, 7: 0.9},
+    # Every node tests equals; slot j is heap node j (slot 0 unused) and leaf
+    # slot j is leaf 4 + j.
+    return RandomForest(
+        schema=(Attribute("discrete", 2),) * 3,
+        kind=[[EQUALS] * 4] * 2,
+        attribute=[[1, 1, 2, 3], [1, 3, 2, 1]],
+        threshold=[[0.0, 2.0, 2.0, 1.0], [0.0, 1.0, 1.0, 1.0]],
+        leaf=[[0.5, 1.4, 0.4, 0.9], [0.4, 1.4, 0.7, 0.6192]],
     )
-    tree1 = DecisionTree(
-        height=2,
-        nodes={
-            1: Predicate("equals", 3, 1.0),
-            2: Predicate("equals", 2, 1.0),
-            3: Predicate("equals", 1, 1.0),
-        },
-        leaves={4: 0.4, 5: 1.4, 6: 0.7, 7: 0.6192},
-    )
-    return RandomForest((tree0, tree1), (binary, binary, binary))
 
 
 def reference_input() -> InputObject:

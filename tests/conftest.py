@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qrforest.model import (
     Attribute,
-    DecisionTree,
     InputObject,
-    Predicate,
     RandomForest,
     generate_random_forest,
     generate_random_input,
@@ -31,16 +32,17 @@ def random_instance(n, h, seed, schema=MIXED_SCHEMA, value_range=(-1.0, 3.0)):
     return forest, generate_random_input(schema, seed + 10_000)
 
 
-def two_leaf_tree(false_label=3.0, true_label=7.0, threshold=0.5):
-    return DecisionTree(
-        height=1,
-        nodes={1: Predicate("threshold-greater", 1, threshold)},
-        leaves={2: false_label, 3: true_label},
+def two_leaf_forest(*label_pairs, threshold=0.5):
+    """Height-1 forest over one real attribute: tree ``i`` tests
+    ``x > threshold`` and has leaves ``label_pairs[i]`` = (false, true)."""
+    n = len(label_pairs)
+    return RandomForest(
+        (Attribute("real"),),
+        kind=[[0, 0]] * n,
+        attribute=[[1, 1]] * n,
+        threshold=[[0.0, threshold]] * n,
+        leaf=list(label_pairs),
     )
-
-
-def single_attr_forest(*trees):
-    return RandomForest(tuple(trees), (Attribute("real"),))
 
 
 def random_statevector(num_qubits, rng):
@@ -83,41 +85,75 @@ def gate_menu(num_qubits, rng):
     return menu
 
 
-def mean_forecast_oracle(forest, x):
-    """Independent forecast: explicit per-tree recursive walks, then sum/divide."""
-    total = 0.0
-    for tree in forest.trees:
-        total += recursive_walk_oracle(tree, x)[1]
-    return total / len(forest.trees)
+def recursive_walk_oracle(text, x):
+    """Per tree, the (leaf index, label) reached by recursive descent of the
+    forest document as declared: early leaves are not padded, and the
+    predicates are compared here, not by the package."""
+    def descend(tree, j):
+        if str(j) in tree["leaves"]:
+            return j, float(tree["leaves"][str(j)])
+        node = tree["nodes"][str(j)]
+        v = x.values[node["attr"] - 1]
+        if node["kind"] == "threshold-greater":
+            taken = v > node["threshold"]
+        else:
+            taken = v == node["threshold"]
+        return descend(tree, 2 * j + (1 if taken else 0))
+
+    return [descend(tree, 1) for tree in json.loads(text)["trees"]]
 
 
-def recursive_walk_oracle(tree, x):
-    """Recursive-descent walk over an explicitly linked tree (no heap
-    index arithmetic); returns (leaf index, label)."""
+def mean_forecast_oracle(text, x):
+    """Independent forecast: per-tree recursive descent, then sum/divide."""
+    labels = [label for _, label in recursive_walk_oracle(text, x)]
+    return sum(labels) / len(labels)
 
-    class Node:
-        def __init__(self, index):
-            self.index = index
-            if index in tree.leaves:
-                self.label, self.pred = tree.leaves[index], None
+
+_SCHEMA_ENTRIES = ({"kind": "real"}, {"kind": "discrete", "categories": 2}, {"kind": "discrete", "categories": 3})
+_REALS = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(0.0, 3.0))
+
+
+@st.composite
+def forest_documents(draw, max_h=4):
+    """Forest document with n in {1, 2, 4}, h <= max_h, a mixed schema and
+    early leaves (each internal position is a leaf with probability 1/4)."""
+    n = draw(st.sampled_from((1, 2, 4)))
+    h = draw(st.integers(1, max_h))
+    schema = [dict(a) for a in draw(st.lists(st.sampled_from(_SCHEMA_ENTRIES), min_size=1, max_size=4))]
+    trees = []
+    for _ in range(n):
+        nodes, leaves, stack = {}, {}, [1]
+        while stack:
+            j = stack.pop()
+            if j >= 2**h or draw(st.integers(0, 3)) == 0:
+                leaves[str(j)] = draw(st.floats(-4.0, 4.0))
+                continue
+            a = draw(st.integers(1, len(schema)))
+            cats = schema[a - 1].get("categories")
+            if cats and draw(st.booleans()):
+                nodes[str(j)] = {"kind": "equals", "attr": a, "threshold": draw(st.integers(1, cats))}
             else:
-                self.pred = tree.nodes[index]
-                self.low = Node(2 * index)
-                self.high = Node(2 * index + 1)
+                nodes[str(j)] = {"kind": "threshold-greater", "attr": a, "threshold": draw(_REALS)}
+            stack += [2 * j, 2 * j + 1]
+        trees.append({"nodes": nodes, "leaves": leaves})
+    return {"n": n, "h": h, "schema": schema, "trees": trees}
 
-    def descend(node):
-        if node.pred is None:
-            return node.index, node.label
-        return descend(node.high if node.pred.evaluate(x.values) else node.low)
 
-    return descend(Node(1))
+@st.composite
+def document_inputs(draw, doc):
+    """An input that conforms to the document's schema."""
+    return InputObject(tuple(
+        float(draw(st.integers(1, a["categories"]))) if a["kind"] == "discrete" else draw(_REALS)
+        for a in doc["schema"]
+    ))
 
 
 __all__ = [
     "MIXED_SCHEMA",
     "random_instance",
-    "two_leaf_tree",
-    "single_attr_forest",
+    "two_leaf_forest",
+    "forest_documents",
+    "document_inputs",
     "random_statevector",
     "mean_forecast_oracle",
     "recursive_walk_oracle",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,13 +6,13 @@ import pytest
 
 from qrforest.cli import main
 from qrforest.compiler import compile_forest_op
-from qrforest.config import MAX_FOREST_HEIGHT
+from qrforest.config import MAX_FOREST_SLOTS
 from qrforest.exceptions import ForestFormatError
 from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import Attribute, beta_to_R
-from qrforest.qae import QaeConfig, estimate_with_boosting
+from qrforest.qae import MAX_REPETITIONS, QaeConfig, estimate_with_boosting
 from qrforest.reference import reference_forest, reference_input
-from conftest import single_attr_forest, two_leaf_tree
+from conftest import two_leaf_forest
 
 
 def run_cli(*argv):
@@ -19,7 +20,7 @@ def run_cli(*argv):
 
 
 def write_two_tree_forest(tmp_path):
-    forest = single_attr_forest(two_leaf_tree(3.0, 3.0), two_leaf_tree(7.0, 7.0))
+    forest = two_leaf_forest((3.0, 3.0), (7.0, 7.0))
     path = tmp_path / "forest.json"
     path.write_text(save_forest(forest))
     return path
@@ -45,13 +46,45 @@ def test_generate_to_stdout(capsys):
 
 
 def test_generate_rejects_height_above_limit(tmp_path):
+    # one tree of height 21 already exceeds the slot budget
+    height = MAX_FOREST_SLOTS.bit_length()
     out = tmp_path / "f.json"
-    assert run_cli("generate", "-n", "1", "--height", str(MAX_FOREST_HEIGHT + 1),
+    assert run_cli("generate", "-n", "1", "--height", str(height),
                    "--attrs", "real", "--out", str(out)) == 3
     assert not out.exists()
-    doc = {"n": 1, "h": MAX_FOREST_HEIGHT + 1, "schema": [{"kind": "real"}], "trees": []}
-    with pytest.raises(ForestFormatError, match="h must be"):
+    doc = {"n": 1, "h": height, "schema": [{"kind": "real"}], "trees": []}
+    with pytest.raises(ForestFormatError, match="n \\* 2\\^h must be"):
         load_forest(json.dumps(doc))
+
+
+def test_generate_rejects_forests_above_the_slot_budget(tmp_path):
+    # h = 20 alone fits; two such trees do not
+    out = tmp_path / "f.json"
+    assert run_cli("generate", "-n", "2", "--height", "20", "--attrs", "real",
+                   "--out", str(out)) == 3
+    assert not out.exists()
+
+
+def test_generate_accepts_a_spaced_negative_range(tmp_path):
+    common = ["generate", "-n", "2", "--height", "2", "--attrs", "real,disc:2", "--seed", "3"]
+    spaced, glued = tmp_path / "spaced.json", tmp_path / "glued.json"
+    assert run_cli(*common, "--range", "-2:5", "--out", str(spaced)) == 0
+    assert run_cli(*common, "--range=-2:5", "--out", str(glued)) == 0
+    assert spaced.read_bytes() == glued.read_bytes()
+    assert load_forest(spaced.read_text()).y_min >= -2.0
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["-n", "4", "--height", "3", "--range=-1:3", "--seed", "11"],
+     "79e1f3e1f05bd82fddf56959ce7d4361886a00c92856101e5cbba670abfdf557"),
+    (["-n", "64", "--height", "10", "--range", "0:1", "--seed", "7"],
+     "0bb6e4c842e9bd18b765c859b399f8f26de24e3824d9568ab6c52761105b6f8f"),
+], ids=["n4-h3", "n64-h10"])
+def test_generate_golden_bytes(tmp_path, argv, digest):
+    # bytes captured before forests were stored as arrays
+    out = tmp_path / "f.json"
+    assert run_cli("generate", *argv, "--attrs", "real,disc:2,disc:3,real", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_forecast_classical_mean(tmp_path, capsys):
@@ -65,7 +98,7 @@ def test_forecast_classical_mean(tmp_path, capsys):
 
 
 def test_forecast_both_report_consistency(tmp_path, capsys):
-    forest = single_attr_forest(two_leaf_tree(1.0, 2.0), two_leaf_tree(4.0, 3.0))
+    forest = two_leaf_forest((1.0, 2.0), (4.0, 3.0))
     path = tmp_path / "f.json"
     path.write_text(save_forest(forest))
     code = run_cli("forecast", "--forest", str(path), "--input", "0.9",
@@ -116,7 +149,7 @@ def test_forecast_literal_input_is_not_shadowed_by_a_file(tmp_path, monkeypatch,
 
 
 def test_forecast_degenerate_range_short_circuits(tmp_path, capsys):
-    forest = single_attr_forest(two_leaf_tree(2.0, 2.0))
+    forest = two_leaf_forest((2.0, 2.0))
     path = tmp_path / "f.json"
     path.write_text(save_forest(forest))
     code = run_cli("forecast", "--forest", str(path), "--input", "0.2",
@@ -130,7 +163,7 @@ def test_forecast_degenerate_range_short_circuits(tmp_path, capsys):
 
 
 def test_forecast_target_beta_comparison(tmp_path, capsys):
-    forest = single_attr_forest(two_leaf_tree(1.0, 2.0), two_leaf_tree(4.0, 3.0))
+    forest = two_leaf_forest((1.0, 2.0), (4.0, 3.0))
     path = tmp_path / "f.json"
     path.write_text(save_forest(forest))
     assert run_cli("forecast", "--forest", str(path), "--input", "0.9",
@@ -164,6 +197,23 @@ def test_forecast_resource_exit_code(tmp_path):
     path = write_two_tree_forest(tmp_path)
     assert run_cli("forecast", "--forest", str(path), "--input", "0.2",
                    "--t", str(2**20)) == 4
+
+
+def test_forecast_subnormal_delta(tmp_path, capsys):
+    # -log(delta) stays finite where 1 / delta overflows
+    path = write_two_tree_forest(tmp_path)
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2",
+                   "--t", "8", "--delta", "1e-320", "--format", "structured") == 0
+    assert json.loads(capsys.readouterr().out)["quantum"]["repetitions"] == 8843
+
+
+def test_forecast_repetitions_above_the_ceiling_exit_code(tmp_path, capsys):
+    assert MAX_REPETITIONS == 8935
+    path = write_two_tree_forest(tmp_path)
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2",
+                   "--reps", str(MAX_REPETITIONS + 2)) == 4
+    assert "8935" in capsys.readouterr().err
+    assert run_cli("reproduce", "--runs", str(MAX_REPETITIONS + 1)) == 4
 
 
 def test_reproduce_report(tmp_path, capsys):

@@ -1,34 +1,47 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    MIXED_SCHEMA,
+    document_inputs,
+    forest_documents,
     gate_menu,
     random_instance,
     random_statevector,
-    single_attr_forest,
-    two_leaf_tree,
+    recursive_walk_oracle,
+    two_leaf_forest,
 )
 from qrforest import gates as g
 from qrforest.compiler import (
-    BranchOutcomeTable,
-    LeafAngleTable,
     build_D,
     build_V,
     compile_forest_op,
     compile_inverse,
     compile_plus1,
     compile_times2,
-    compile_tree_op,
     dump_circuit,
     grover_iterate,
+    leaf_angles,
     registers_for,
 )
 from qrforest.exceptions import DegenerateRangeError, UnsupportedForestError
+from qrforest.forest_io import load_forest, save_forest
 from qrforest.gates import gate_matrix
-from qrforest.model import InputObject, beta_classical, walk_tree
+from qrforest.model import (
+    InputObject,
+    beta_classical,
+    branch_outcomes,
+    generate_random_forest,
+    generate_random_input,
+    walk_forest,
+)
 from qrforest.statevector import Register, StateVector
 
 
@@ -61,20 +74,16 @@ def test_times2_repeated_matches_integer_shift(h):
     np.testing.assert_allclose(sv.amplitudes, StateVector.basis(h + 1, value).amplitudes, atol=0)
 
 
-def _outcome_table(rows, h):
-    return BranchOutcomeTable(h, tuple(tuple(r) for r in rows))
-
-
 def test_plus1_adds_one_when_root_outcome_true():
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, 2)
-    gate = compile_plus1(0, _outcome_table([[True]], 1).rows, lam, psi)
+    gate = compile_plus1(0, np.array([[False, True]]), lam, psi)
     sv = _run(2, [gate], basis=0b10)
     np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b11).amplitudes, atol=0)
 
 
 def test_plus1_leaves_value_when_root_outcome_false():
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, 2)
-    gate = compile_plus1(0, _outcome_table([[False]], 1).rows, lam, psi)
+    gate = compile_plus1(0, np.array([[True, False]]), lam, psi)
     sv = _run(2, [gate], basis=0b10)
     np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b10).amplitudes, atol=0)
 
@@ -82,77 +91,73 @@ def test_plus1_leaves_value_when_root_outcome_false():
 def test_plus1_tracks_outcomes_over_superposed_nodes():
     # level-1 parents of an h=2 tree are nodes 2 and 3 with distinct outcomes
     h = 2
-    rows = [[False, True, False]]  # nodes 1..3
+    outcomes = np.array([[True, False, True, False]])  # slot 0 unused, nodes 1..3
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, h + 1)
-    gate = compile_plus1(1, _outcome_table(rows, h).rows, lam, psi)
+    gate = compile_plus1(1, outcomes, lam, psi)
     for parent in (2, 3):
         sv = _run(h + 1, [gate], basis=2 * parent)
-        expected = 2 * parent + (1 if rows[0][parent - 1] else 0)
+        expected = 2 * parent + (1 if outcomes[0, parent] else 0)
         np.testing.assert_allclose(
             sv.amplitudes, StateVector.basis(h + 1, expected).amplitudes, atol=1e-15
         )
 
 
-def _tables(forest, x):
-    return BranchOutcomeTable.evaluate(forest, x), LeafAngleTable.from_forest(forest)
-
-
 def test_outcome_table_matches_predicates():
+    # each node's outcome equals the branch taken by descent of the document
     forest, x = random_instance(2, 2, 40)
-    outcomes, _ = _tables(forest, x)
-    for i, tree in enumerate(forest.trees):
+    outcomes = branch_outcomes(forest, x)
+    assert outcomes.shape == (2, 4) and outcomes.dtype == bool
+    for i, tree in enumerate(json.loads(save_forest(forest))["trees"]):
         for j in range(1, 4):
-            assert outcomes.outcome(i, j) == tree.nodes[j].evaluate(x.values)
+            node = tree["nodes"][str(j)]
+            v = x.values[node["attr"] - 1]
+            taken = v > node["threshold"] if node["kind"] == "threshold-greater" else v == node["threshold"]
+            assert outcomes[i, j] == taken
 
 
 def test_angle_table_formula_and_range():
     forest, _ = random_instance(2, 2, 41)
-    _, angles = _tables(forest, InputObject.of(0.5, 1, 1, 0.5))
+    angles = leaf_angles(forest)
+    assert angles.shape == (2, 4)
     lo, hi = forest.y_min, forest.y_max
-    for i, tree in enumerate(forest.trees):
-        for j in range(4, 8):
-            a = angles.angle(i, j)
+    for i in range(2):
+        for j in range(4):
+            a = angles[i, j]
             assert 0.0 <= a <= math.pi / 2
-            assert a == pytest.approx(math.asin(math.sqrt((tree.leaves[j] - lo) / (hi - lo))))
+            assert a == pytest.approx(math.asin(math.sqrt((forest.leaf[i, j] - lo) / (hi - lo))))
+
+
+def _tree_op(forest, x):
+    """One tree's walk-and-rotate gates: with one tree, lambda has no qubits,
+    so the circuit after its leading psi = |1> X is exactly that operator."""
+    gates = compile_forest_op(forest, x).gates
+    assert gates[0] == g.x(forest.height)
+    return gates[1:]
 
 
 def test_tree_op_walks_and_rotates_h1():
-    forest = single_attr_forest(two_leaf_tree(2.0, 6.0))
-    tree = forest.trees[0]
+    forest = two_leaf_forest((2.0, 6.0))
     for xv, leaf in ((0.2, 2), (0.9, 3)):
         x = InputObject.of(xv)
-        outcomes, angles = _tables(forest, x)
-        seq = compile_tree_op(tree, 0, outcomes, angles)
-        sv = _run(3, seq, basis=0b010)  # psi=|1>, phi=|0>
-        expected_leaf, label = walk_tree(tree, x)
-        assert expected_leaf == leaf
-        s2 = (label - 2.0) / 4.0
+        sv = _run(3, _tree_op(forest, x), basis=0b010)  # psi=|1>, phi=|0>
+        assert walk_forest(forest, x).tolist() == [leaf]
+        s2 = (forest.leaf[0, leaf - 2] - 2.0) / 4.0
         assert sv.probability((0, 1), leaf) == pytest.approx(1.0, abs=1e-12)
         assert sv.probability((2,), 1) == pytest.approx(s2, abs=1e-12)
 
 
 def test_tree_op_min_label_keeps_phi_zero():
-    forest = single_attr_forest(two_leaf_tree(2.0, 6.0))
+    forest = two_leaf_forest((2.0, 6.0))
     x = InputObject.of(0.2)  # walks to the y_min leaf
-    seq = compile_tree_op(forest.trees[0], 0, *_tables(forest, x))
-    sv = _run(3, seq, basis=0b010)
+    sv = _run(3, _tree_op(forest, x), basis=0b010)
     assert sv.probability((2,), 1) == 0.0
 
 
 def test_tree_op_max_label_flips_phi():
-    forest = single_attr_forest(two_leaf_tree(2.0, 6.0))
+    forest = two_leaf_forest((2.0, 6.0))
     x = InputObject.of(0.9)  # walks to the y_max leaf
-    seq = compile_tree_op(forest.trees[0], 0, *_tables(forest, x))
-    sv = _run(3, seq, basis=0b010)
+    sv = _run(3, _tree_op(forest, x), basis=0b010)
     assert sv.probability((2,), 1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_forest_op_single_tree_reduces_to_tree_op():
-    forest, x = random_instance(1, 2, 42)
-    circuit = compile_forest_op(forest, x)
-    outcomes, angles = _tables(forest, x)
-    expected = (g.x(2),) + compile_tree_op(forest.trees[0], 0, outcomes, angles)
-    assert circuit.gates == expected
 
 
 def test_forest_op_phi_probability_is_beta(reference):
@@ -161,6 +166,26 @@ def test_forest_op_phi_probability_is_beta(reference):
     sv = _run(circuit.num_qubits, circuit.gates)
     p = sv.probability(circuit.register("phi").qubits, 1)
     assert p == pytest.approx(beta_classical(forest, x), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_forest_op_phi_probability_is_beta_on_documents(data):
+    doc = data.draw(forest_documents())
+    x = data.draw(document_inputs(doc))
+    forest = load_forest(json.dumps(doc))
+    assume(forest.y_max > forest.y_min)
+    circuit = compile_forest_op(forest, x)
+    sv = _run(circuit.num_qubits, circuit.gates)
+    p = sv.probability(circuit.register("phi").qubits, 1)
+    assert p == pytest.approx(beta_classical(forest, x), abs=1e-9)
+    # and beta itself agrees with descent of the document
+    labels = [y for _, y in recursive_walk_oracle(json.dumps(doc), x)]
+    declared = [y for tree in doc["trees"] for y in tree["leaves"].values()]
+    lo, hi = min(declared), max(declared)
+    assert beta_classical(forest, x) == pytest.approx(
+        sum(y - lo for y in labels) / (len(labels) * (hi - lo)), abs=1e-12
+    )
 
 
 @pytest.mark.parametrize("n,h", [(1, 1), (2, 2), (4, 1), (4, 3), (8, 2)])
@@ -189,8 +214,7 @@ def test_forest_op_branches_land_on_walked_leaves():
     circuit = compile_forest_op(forest, x)
     sv = _run(circuit.num_qubits, circuit.gates)
     lam, psi = circuit.register("lambda"), circuit.register("psi")
-    for i, tree in enumerate(forest.trees):
-        leaf, _ = walk_tree(tree, x)
+    for i, leaf in enumerate(walk_forest(forest, x).tolist()):
         joint = sv.probability(lam.qubits + psi.qubits, (i << psi.size) | leaf)
         assert joint == pytest.approx(1.0 / forest.n, abs=1e-10)
 
@@ -202,7 +226,7 @@ def test_forest_op_rejects_unsupported_counts():
 
 
 def test_forest_op_rejects_degenerate_range():
-    forest = single_attr_forest(two_leaf_tree(1.0, 1.0))
+    forest = two_leaf_forest((1.0, 1.0))
     with pytest.raises(DegenerateRangeError):
         compile_forest_op(forest, InputObject.of(0.2))
 
@@ -332,3 +356,13 @@ def test_dump_circuit_text(reference):
     assert any(line.startswith("swap q1 q2") for line in lines)
     assert any(line.startswith("ucg selects=q0,q1,q2 target=q3 blocks=") for line in lines)
     assert lines[-1].startswith("ucr selects=q0,q1,q2,q3 target=q4 angles=")
+
+
+def test_dump_circuit_golden():
+    # bytes captured before forests were stored as arrays
+    forest = generate_random_forest(4, 3, MIXED_SCHEMA, (-1.0, 3.0), 11)
+    circuit = compile_forest_op(forest, generate_random_input(MIXED_SCHEMA, 10011))
+    assert len(circuit.gates) == 16
+    assert hashlib.sha256(dump_circuit(circuit).encode()).hexdigest() == (
+        "29639db32cc29a7da947c0880dbccb0d2b1691da14eef9a2fe29dc74d3bd2409"
+    )

@@ -1,23 +1,26 @@
-import math
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     MIXED_SCHEMA,
+    document_inputs,
+    forest_documents,
     mean_forecast_oracle,
     random_instance,
     recursive_walk_oracle,
-    single_attr_forest,
-    two_leaf_tree,
+    two_leaf_forest,
 )
 from qrforest.exceptions import DegenerateRangeError, MetricError, SchemaMismatchError
+from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import (
+    EQUALS,
     Attribute,
-    DecisionTree,
     InputObject,
     METRIC_NAMES,
-    Predicate,
     PredictionPair,
     RandomForest,
     beta_classical,
@@ -26,44 +29,71 @@ from qrforest.model import (
     forecast_classical,
     generate_random_forest,
     generate_random_input,
-    walk_tree,
+    walk_forest,
 )
 
 
+def walked_labels(forest, x):
+    return forest.leaf[np.arange(forest.n), walk_forest(forest, x) - 2**forest.height].tolist()
+
+
 def test_walk_single_false_branch():
-    assert walk_tree(two_leaf_tree(), InputObject.of(0.2)) == (2, 3.0)
+    forest, x = two_leaf_forest((3.0, 7.0)), InputObject.of(0.2)
+    assert walk_forest(forest, x).tolist() == [2]
+    assert walked_labels(forest, x) == [3.0]
 
 
 def test_walk_single_true_branch():
-    assert walk_tree(two_leaf_tree(), InputObject.of(0.9)) == (3, 7.0)
+    forest, x = two_leaf_forest((3.0, 7.0)), InputObject.of(0.9)
+    assert walk_forest(forest, x).tolist() == [3]
+    assert walked_labels(forest, x) == [7.0]
 
 
 def test_walk_matches_recursive_descent_oracle():
-    # heap arithmetic (j <- 2j + outcome) vs an explicitly linked tree
+    # heap arithmetic (j <- 2j + outcome) vs descent of the saved document
     checked = 0
     for seed in range(100):
         forest, _ = random_instance(2, 3, seed)
+        text = save_forest(forest)
         for k in range(5):
             x = generate_random_input(MIXED_SCHEMA, 7_000 + 5 * seed + k)
-            for tree in forest.trees:
-                assert walk_tree(tree, x) == recursive_walk_oracle(tree, x)
-                checked += 1
+            walked = list(zip(walk_forest(forest, x).tolist(), walked_labels(forest, x)))
+            assert walked == recursive_walk_oracle(text, x)
+            checked += forest.n
     assert checked >= 1000
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_walk_and_forecast_match_recursive_descent_on_documents(data):
+    doc = data.draw(forest_documents())
+    x = data.draw(document_inputs(doc))
+    text = json.dumps(doc)
+    forest = load_forest(text)
+    expected = recursive_walk_oracle(text, x)
+    h = doc["h"]
+    for leaf, label, (declared, want) in zip(
+        walk_forest(forest, x).tolist(), walked_labels(forest, x), expected
+    ):
+        # the padded walk ends below the declared (possibly early) leaf
+        assert leaf >> (h + 1 - declared.bit_length()) == declared
+        assert label == want
+    assert forecast_classical(forest, x) == mean_forecast_oracle(text, x)
 
 
 def test_walk_out_of_schema_attribute():
     with pytest.raises(SchemaMismatchError):
-        walk_tree(two_leaf_tree(), InputObject.of())
+        walk_forest(two_leaf_forest((3.0, 7.0)), InputObject.of())
 
 
 def test_forecast_single_tree_equals_walk():
-    forest = single_attr_forest(two_leaf_tree())
+    forest = two_leaf_forest((3.0, 7.0))
     x = InputObject.of(0.9)
-    assert forecast_classical(forest, x) == walk_tree(forest.trees[0], x)[1]
+    assert forecast_classical(forest, x) == walked_labels(forest, x)[0]
 
 
 def test_forecast_two_trees_mean():
-    forest = single_attr_forest(two_leaf_tree(3.0, 3.0), two_leaf_tree(7.0, 7.0))
+    forest = two_leaf_forest((3.0, 3.0), (7.0, 7.0))
     assert forecast_classical(forest, InputObject.of(0.2)) == 5.0
 
 
@@ -71,25 +101,25 @@ def test_forecast_matches_enumeration_oracle():
     for seed in range(20):
         forest, x = random_instance(8, 3, 300 + seed)
         assert forecast_classical(forest, x) == pytest.approx(
-            mean_forecast_oracle(forest, x), rel=1e-12
+            mean_forecast_oracle(save_forest(forest), x), rel=1e-12
         )
 
 
 def test_beta_bounds_and_leaf_label_range():
     for seed in range(50):
         forest, x = random_instance(4, 2, 500 + seed)
-        labels = [walk_tree(t, x)[1] for t in forest.trees]
+        labels = walked_labels(forest, x)
         assert min(labels) >= forest.y_min and max(labels) <= forest.y_max
         assert 0.0 <= beta_classical(forest, x) <= 1.0
 
 
 def test_beta_hits_zero_on_all_min_leaves():
-    forest = single_attr_forest(two_leaf_tree(1.0, 9.0), two_leaf_tree(1.0, 5.0))
+    forest = two_leaf_forest((1.0, 9.0), (1.0, 5.0))
     assert beta_classical(forest, InputObject.of(0.2)) == 0.0
 
 
 def test_beta_hits_one_on_all_max_leaves():
-    forest = single_attr_forest(two_leaf_tree(1.0, 9.0), two_leaf_tree(5.0, 9.0))
+    forest = two_leaf_forest((1.0, 9.0), (5.0, 9.0))
     assert beta_classical(forest, InputObject.of(0.9)) == 1.0
 
 
@@ -112,7 +142,7 @@ def test_beta_to_R_inverts_normalization():
 
 
 def test_degenerate_range_rejected():
-    forest = single_attr_forest(two_leaf_tree(2.0, 2.0))
+    forest = two_leaf_forest((2.0, 2.0))
     with pytest.raises(DegenerateRangeError):
         beta_classical(forest, InputObject.of(0.5))
     with pytest.raises(DegenerateRangeError):
@@ -164,29 +194,29 @@ def test_metric_degenerate_denominators():
 def test_generator_is_deterministic():
     a = generate_random_forest(2, 2, MIXED_SCHEMA, (0.0, 1.0), seed=9)
     b = generate_random_forest(2, 2, MIXED_SCHEMA, (0.0, 1.0), seed=9)
-    assert a == b
-    assert a != generate_random_forest(2, 2, MIXED_SCHEMA, (0.0, 1.0), seed=10)
+    assert save_forest(a) == save_forest(b)
+    assert save_forest(a) != save_forest(generate_random_forest(2, 2, MIXED_SCHEMA, (0.0, 1.0), seed=10))
 
 
 def test_generator_reference_shape():
     binary = (Attribute("discrete", 2),) * 3
     forest = generate_random_forest(2, 2, binary, (0.0, 1.0), seed=1)
     assert forest.n == 2 and forest.height == 2
-    assert all(len(t.leaves) == 4 for t in forest.trees)
+    assert forest.leaf.shape == (2, 4)
 
 
 def test_generated_forests_satisfy_invariants():
     for seed in range(100):
         forest = generate_random_forest(3, 2, MIXED_SCHEMA, (-2.0, 5.0), seed)
-        for tree in forest.trees:
-            assert set(tree.nodes) == set(range(1, 4))
-            assert set(tree.leaves) == set(range(4, 8))
-            assert all(-2.0 <= y <= 5.0 for y in tree.leaves.values())
-            for pred in tree.nodes.values():
-                attr = MIXED_SCHEMA[pred.attribute - 1]
-                if pred.kind == "equals":
+        assert forest.kind.shape == forest.attribute.shape == forest.threshold.shape == (3, 4)
+        assert forest.leaf.shape == (3, 4)
+        assert ((-2.0 <= forest.leaf) & (forest.leaf <= 5.0)).all()
+        for i in range(3):
+            for j in range(1, 4):
+                attr = MIXED_SCHEMA[forest.attribute[i, j] - 1]
+                if forest.kind[i, j] == EQUALS:
                     assert attr.kind == "discrete"
-                    assert 1 <= pred.threshold <= attr.categories
+                    assert 1 <= forest.threshold[i, j] <= attr.categories
 
 
 def test_input_validation():
@@ -200,24 +230,35 @@ def test_input_validation():
         InputObject.of(0.5, 1.5, 3, 0.2).validate_against(MIXED_SCHEMA)  # non-integral
 
 
+def _forest(kind=((0, 0),), attribute=((1, 1),), threshold=((0.0, 0.0),), leaf=((1.0, 2.0),),
+            schema=(Attribute("real"),)):
+    return RandomForest(schema, kind, attribute, threshold, leaf)
+
+
 def test_tree_construction_rejects_gaps():
+    _forest()
     with pytest.raises(ValueError):
-        DecisionTree(1, {}, {2: 1.0, 3: 2.0})
+        _forest(leaf=((1.0,),))  # fewer than two leaf slots
     with pytest.raises(ValueError):
-        DecisionTree(1, {1: Predicate("threshold-greater", 1, 0.0)}, {2: 1.0})
+        _forest(leaf=((1.0, 2.0, 3.0),), kind=((0, 0, 0),), attribute=((1, 1, 1),),
+                threshold=((0.0, 0.0, 0.0),))  # width not a power of two
     with pytest.raises(ValueError):
-        DecisionTree(1, {1: Predicate("threshold-greater", 1, 0.0)}, {2: 1.0, 3: math.inf})
+        _forest(threshold=((0.0,),))  # node array narrower than the leaves
+    with pytest.raises(ValueError):
+        _forest(leaf=((1.0, np.inf),))
 
 
 def test_forest_construction_checks():
     with pytest.raises(ValueError):
-        RandomForest((), (Attribute("real"),))
+        _forest(kind=np.zeros((0, 2)), attribute=np.ones((0, 2)), threshold=np.zeros((0, 2)),
+                leaf=np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        RandomForest((two_leaf_tree(),), ())
-    deep = DecisionTree(
-        2,
-        {j: Predicate("threshold-greater", 1, 0.5) for j in range(1, 4)},
-        {j: float(j) for j in range(4, 8)},
-    )
+        _forest(schema=())
+    with pytest.raises(ValueError):  # trees of different heights cannot share arrays
+        _forest(kind=((0, 0, 0, 0),), attribute=((1, 1, 1, 1),), threshold=((0.0,) * 4,))
     with pytest.raises(ValueError):
-        RandomForest((two_leaf_tree(), deep), (Attribute("real"),))
+        _forest(kind=((0, 2),))  # unknown predicate kind
+    with pytest.raises(ValueError):
+        _forest(attribute=((1, 0),))  # attributes are 1-based
+    with pytest.raises(ValueError):
+        _forest(attribute=((1, 2),))  # beyond the schema

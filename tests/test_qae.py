@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, single_attr_forest, two_leaf_tree
+from conftest import random_instance, two_leaf_forest
 from qrforest import qae
 from qrforest.compiler import CompiledCircuit, compile_forest_op
 from qrforest.exceptions import ResourceLimitError
@@ -47,17 +47,17 @@ def exact_outcome_distribution(beta, t):
 
 
 def _zero_beta_instance():
-    forest = single_attr_forest(two_leaf_tree(0.0, 1.0))
+    forest = two_leaf_forest((0.0, 1.0))
     return forest, InputObject.of(0.2)  # walks to the y_min leaf
 
 
 def _one_beta_instance():
-    forest = single_attr_forest(two_leaf_tree(1.0, 0.0))
+    forest = two_leaf_forest((1.0, 0.0))
     return forest, InputObject.of(0.2)  # walks to the y_max leaf
 
 
 def _half_beta_instance():
-    forest = single_attr_forest(two_leaf_tree(0.0, 2.0), two_leaf_tree(2.0, 0.0))
+    forest = two_leaf_forest((0.0, 2.0), (2.0, 0.0))
     return forest, InputObject.of(0.2)
 
 
@@ -168,7 +168,7 @@ def test_engine_matches_closed_form_on_random_forests(n, h, t, seed):
 
 def test_cached_engines_hold_no_circuit(monkeypatch):
     monkeypatch.setattr(qae, "_ENGINE_CACHE", {})
-    forest = single_attr_forest(two_leaf_tree(0.0, 1.0), two_leaf_tree(1.0, 0.0))
+    forest = two_leaf_forest((0.0, 1.0), (1.0, 0.0))
     for i in range(qae._ENGINE_CACHE_CAP):
         circuit = compile_forest_op(forest, InputObject.of(i / qae._ENGINE_CACHE_CAP))
         estimate_with_boosting(circuit, QaeConfig(t=4, repetitions=1, seed=i))
@@ -179,7 +179,7 @@ def test_cached_engines_hold_no_circuit(monkeypatch):
 
 
 def test_boosted_success_rate_at_beta_point_three():
-    forest = single_attr_forest(two_leaf_tree(0.1, 1.0), two_leaf_tree(0.5, 0.0))
+    forest = two_leaf_forest((0.1, 1.0), (0.5, 0.0))
     x = InputObject.of(0.2)
     assert beta_classical(forest, x) == pytest.approx(0.3)
     circuit = compile_forest_op(forest, x)
