@@ -33,9 +33,9 @@ from .model import (
     forecast_classical,
     generate_random_forest,
 )
-from .qae import QaeConfig, error_bound, estimate_of, query_count, run_forecast, sample_outcomes
+from .qae import QaeConfig, check_width, error_bound, estimate_of, query_count, run_forecast, sample_outcomes
 from .reference import REFERENCE_RUNS, REFERENCE_T, reference_forest, reference_input
-from .compiler import compile_forest_op
+from .compiler import check_compilable, compile_forest_op
 from .exceptions import MetricError
 
 SCHEMA_VERSION = 1
@@ -217,6 +217,7 @@ def cmd_reproduce(args) -> int:
     r_cl = forecast_classical(forest, x)
     spread = forest.y_max - forest.y_min
     bound = error_bound(beta_cl, args.t)
+    check_width(check_compilable(forest, x), args.t)
     outcomes = sample_outcomes(compile_forest_op(forest, x), args.t, args.seed, args.runs)
 
     runs = []

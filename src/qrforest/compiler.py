@@ -37,12 +37,17 @@ from .statevector import Register
 _BLOCK_NAMES = {g._ID: "I", g._X: "X", g._Z: "Z", g._NEG_ID: "-I"}
 
 
-def leaf_angles(forest: RandomForest) -> np.ndarray:
-    """``(n, 2^h)`` phi rotation half-angles, slot ``j`` for leaf ``2^h + j``;
-    all in [0, pi/2]."""
+def _label_range(forest: RandomForest) -> tuple[float, float]:
     lo, hi = forest.y_min, forest.y_max
     if hi <= lo:
         raise DegenerateRangeError("all leaf labels equal; rotation angles undefined")
+    return lo, hi
+
+
+def leaf_angles(forest: RandomForest) -> np.ndarray:
+    """``(n, 2^h)`` phi rotation half-angles, slot ``j`` for leaf ``2^h + j``;
+    all in [0, pi/2]."""
+    lo, hi = _label_range(forest)
     # math.asin per leaf: np.arcsin can differ by 1 ulp, which would change
     # the ucr angles and dump_circuit.
     ratios = ((forest.leaf - lo) / (hi - lo)).tolist()
@@ -103,14 +108,23 @@ def _leaf_rotation_gate(angles: np.ndarray, lam: Register, psi: Register, phi: R
     return g.ucr(lam.qubits + psi.qubits, phi.qubits[0], rows.ravel().tolist())
 
 
+def check_compilable(forest: RandomForest, x: InputObject) -> int:
+    """The checks ``compile_forest_op`` makes before it builds anything, in
+    its order; returns the circuit's width ``ceil(log2 n) + h + 2``."""
+    x.validate_against(forest.schema)
+    n = forest.n
+    if n & (n - 1):
+        raise UnsupportedForestError(f"tree count must be a power of two, got {n}")
+    _label_range(forest)
+    return (n - 1).bit_length() + forest.height + 2
+
+
 def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
     """The full forecasting operator: from |0...0> it prepares a uniform
     superposition of trees, each walked to its leaf, with phi carrying the
     normalized leaf label in its |1> amplitude."""
-    x.validate_against(forest.schema)
+    num_qubits = check_compilable(forest, x)
     n, h = forest.n, forest.height
-    if n & (n - 1):
-        raise UnsupportedForestError(f"tree count must be a power of two, got {n}")
     outcomes = branch_outcomes(forest, x)
     angles = leaf_angles(forest)
     lam, psi, phi = registers_for(n, h)
@@ -123,7 +137,7 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
     return CompiledCircuit(
         registers=(lam, psi, phi),
         gates=tuple(seq),
-        num_qubits=lam.size + h + 2,
+        num_qubits=num_qubits,
         n_trees=n,
         height=h,
         forest_hash=forest_fingerprint(forest),

@@ -22,15 +22,27 @@ checking ``n * 2^h`` against ``config.MAX_FOREST_SLOTS``; an early leaf
 fills one contiguous range of leaf slots.  Unknown fields anywhere are
 rejected.
 
+Each tree is checked and filled in bulk by ``_fill_tree``: whole-tree passes
+over its keys and values (canonical index keys, exact field sets and types,
+one finite-number array, per-schema category lookups, reachability by the
+parent rule) and array writes into its row.  The per-entry ``_parse_tree``
+makes the same checks one entry at a time; it is the only code that words an
+error, and a tree reaches it only when a bulk check fails, so a valid
+document never does.
+
 ``save_forest`` is canonical (fixed key order, numerically sorted indices,
 shortest-round-trip floats), so equal forests serialize to identical bytes
-and ``save(load(save(f))) == save(f)``.
+and ``save(load(save(f))) == save(f)``.  The bytes are those of
+``json.dumps(doc, indent=2) + "\n"``: json writes the ``n``/``h``/``schema``
+head, and the trees are joined from per-node ``%`` templates (``%r`` is
+json's ``float.__repr__``; every saved number is finite).
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -49,7 +61,8 @@ def _require_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _parse_index(key: str, where: str) -> int:
-    if not isinstance(key, str) or not key.isdigit() or (key != "0" and key.startswith("0")):
+    decimal = isinstance(key, str) and key.isascii() and key.isdigit()  # isdigit alone admits "²"
+    if not decimal or (key != "0" and key.startswith("0")):
         raise ForestFormatError(f"{where}: index key {key!r} is not a decimal string")
     return int(key)
 
@@ -57,7 +70,10 @@ def _parse_index(key: str, where: str) -> int:
 def _parse_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ForestFormatError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the double range
+        v = math.inf
     if not math.isfinite(v):
         raise ForestFormatError(f"{where}: number must be finite")
     return v
@@ -154,6 +170,88 @@ def _parse_tree(raw, h: int, schema: tuple[Attribute, ...], where: str, row: tup
         kind[at], attribute[at], threshold[at] = zip(*nodes.values())
 
 
+_KIND_CODES = {k: i for i, k in enumerate(PREDICATE_KINDS)}
+_PREDICATE_FIELDS = operator.itemgetter("kind", "attr", "threshold")
+
+
+def _canonical_indices(keys: list[str], end: int) -> np.ndarray | None:
+    """The keys as heap indices, or None unless every key is the canonical
+    decimal string of an index in ``[1, end)``."""
+    try:
+        at = list(map(int, keys))
+    except ValueError:
+        return None
+    if list(map(str, at)) != keys or (at and not (min(at) >= 1 and max(at) < end)):
+        return None
+    return np.array(at, dtype=np.intp)
+
+
+def _fill_tree(raw, h: int, categories: np.ndarray, row: tuple[np.ndarray, ...]) -> bool:
+    """Check one tree as ``_parse_tree`` does, with whole-tree passes, and
+    fill its row views ``(kind, attribute, threshold, leaf)``.  Returns False,
+    having written nothing, when any check fails.  ``categories[a]`` is the
+    category count of attribute ``a``, 0 for a real one."""
+    if type(raw) is not dict or raw.keys() != {"nodes", "leaves"}:
+        return False
+    nodes, leaves = raw["nodes"], raw["leaves"]
+    if type(nodes) is not dict or type(leaves) is not dict:
+        return False
+    node_at = _canonical_indices(list(nodes), 1 << h)
+    leaf_at = _canonical_indices(list(leaves), 2 << h)
+    if node_at is None or leaf_at is None:
+        return False
+    predicates = list(nodes.values())
+    if not set(map(type, predicates)) <= {dict} or not set(map(len, predicates)) <= {3}:
+        return False
+    try:
+        kinds, attrs, thresholds = zip(*map(_PREDICATE_FIELDS, predicates)) if predicates else ((),) * 3
+        codes = list(map(_KIND_CODES.__getitem__, kinds))
+    except (KeyError, TypeError):  # a missing field, or an unknown or unhashable kind
+        return False
+    labels = list(leaves.values())
+    if not set(map(type, attrs)) <= {int} or (attrs and not 1 <= min(attrs) <= max(attrs) < len(categories)):
+        return False
+    if not set(map(type, thresholds)) | set(map(type, labels)) <= {int, float}:
+        return False
+    try:
+        numbers = np.array([*thresholds, *labels], dtype=np.float64)
+    except OverflowError:
+        return False
+    if not np.isfinite(numbers).all():
+        return False
+    cut = len(predicates)
+    codes, attrs = np.array(codes, dtype=np.int8), np.array(attrs, dtype=np.int32)
+    equals = codes == EQUALS
+    t, c = numbers[:cut][equals], categories[attrs[equals]]
+    if not ((t == np.floor(t)) & (1 <= t) & (t <= c)).all():
+        return False
+    # Heap of declarations (0 none, 1 node, 2 leaf).  The tree is a valid
+    # walk from the root exactly when the root is declared, every declared
+    # index's parent is a node and every node's children are declared.  An
+    # index declared as both ends up a leaf here, and its declared children
+    # then fail the parent rule.
+    heap = np.zeros(2 << h, dtype=np.int8)
+    heap[0] = 1  # stands in as the root's parent
+    heap[node_at] = 1
+    heap[leaf_at] = 2
+    if (
+        not heap[1]
+        or (heap[np.concatenate((node_at, leaf_at)) >> 1] != 1).any()
+        or not heap[node_at << 1].all()
+        or not heap[(node_at << 1) | 1].all()
+    ):
+        return False
+
+    kind, attribute, threshold, leaf = row
+    kind[node_at], attribute[node_at], threshold[node_at] = codes, attrs, numbers[:cut]
+    # A leaf at depth d covers 2^(h - d) leaf slots; the leaves of a valid
+    # tree tile all 2^h slots, so their labels in slot order fill the row.
+    below = h + 1 - np.frexp(leaf_at)[1]
+    order = np.argsort((leaf_at << below) - (1 << h))
+    leaf[:] = np.repeat(numbers[cut:][order], 1 << below[order])
+    return True
+
+
 def load_forest(text: str) -> RandomForest:
     """Parse a forest document straight into the forest arrays, padding short
     branches to full height."""
@@ -186,9 +284,26 @@ def load_forest(text: str) -> RandomForest:
         np.zeros((n, 2**h)),
         np.empty((n, 2**h)),
     )
+    categories = np.array([0] + [a.categories or 0 for a in schema])
     for i, raw in enumerate(doc["trees"]):
-        _parse_tree(raw, h, schema, f"trees[{i}]", tuple(a[i] for a in arrays))
+        row = tuple(a[i] for a in arrays)
+        if not _fill_tree(raw, h, categories, row):
+            _parse_tree(raw, h, schema, f"trees[{i}]", row)
     return RandomForest(schema, *arrays)
+
+
+# The canonical document is ``json.dumps(doc, indent=2)``: json writes the
+# head, and each tree is filled into these templates.  A node template is
+# picked by kind code; an equals threshold is written as an integer (``%d``
+# truncates as ``int`` does) and any other number as json writes a finite
+# float (``%r``).
+_NODE_TEMPLATES = tuple(
+    '        "%%d": {\n          "kind": "%s",\n          "attr": %%d,\n          "threshold": %s\n        }'
+    % (k, "%d" if k == "equals" else "%r")
+    for k in PREDICATE_KINDS
+)
+_LEAF_TEMPLATE = '        "%d": %r'
+_TREE_TEMPLATE = '    {\n      "nodes": {\n%s\n      },\n      "leaves": {\n%s\n      }\n    }'
 
 
 def save_forest(forest: RandomForest) -> str:
@@ -197,23 +312,20 @@ def save_forest(forest: RandomForest) -> str:
         {"kind": a.kind} if a.kind == "real" else {"kind": "discrete", "categories": a.categories}
         for a in forest.schema
     ]
+    head = json.dumps({"n": forest.n, "h": forest.height, "schema": schema}, indent=2)
     width = forest.leaf.shape[1]
     trees = []
     for kinds, attrs, thresholds, labels in zip(
         forest.kind.tolist(), forest.attribute.tolist(), forest.threshold.tolist(), forest.leaf.tolist()
     ):
-        nodes = {
-            str(j): {
-                "kind": PREDICATE_KINDS[kinds[j]],
-                "attr": attrs[j],
-                "threshold": int(thresholds[j]) if kinds[j] == EQUALS else thresholds[j],
-            }
-            for j in range(1, width)
-        }
-        leaves = {str(width + j): y for j, y in enumerate(labels)}
-        trees.append({"nodes": nodes, "leaves": leaves})
-    doc = {"n": forest.n, "h": forest.height, "schema": schema, "trees": trees}
-    return json.dumps(doc, indent=2) + "\n"
+        nodes = map(
+            operator.mod,
+            map(_NODE_TEMPLATES.__getitem__, kinds[1:]),
+            zip(range(1, width), attrs[1:], thresholds[1:]),
+        )
+        leaves = map(_LEAF_TEMPLATE.__mod__, zip(range(width, 2 * width), labels))
+        trees.append(_TREE_TEMPLATE % (",\n".join(nodes), ",\n".join(leaves)))
+    return head[: -len("\n}")] + ',\n  "trees": [\n' + ",\n".join(trees) + "\n  ]\n}\n"
 
 
 def forest_fingerprint(forest: RandomForest) -> str:

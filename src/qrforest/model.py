@@ -96,6 +96,8 @@ class RandomForest:
             raise ValueError("predicate kind code must index PREDICATE_KINDS")
         if attrs.min() < 1 or attrs.max() > len(self.schema):
             raise ValueError(f"predicate attributes must lie in [1, {len(self.schema)}]")
+        if not np.isfinite(arrays["threshold"][:, 1:]).all():
+            raise ValueError("predicate thresholds must be finite")
         if not np.isfinite(arrays["leaf"]).all():
             raise ValueError("leaf labels must be finite")
         for name, a in arrays.items():

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiler import CompiledCircuit, compile_forest_op, grover_iterate
+from .compiler import CompiledCircuit, check_compilable, compile_forest_op, grover_iterate
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 from .model import InputObject, RandomForest, beta_to_R
@@ -140,6 +140,18 @@ def estimate_of(outcome: int, t: int) -> float:
     return math.sin(math.pi * outcome / t) ** 2
 
 
+def check_width(work_qubits: int, t: int) -> None:
+    """Refuse a run of ``work_qubits`` plus ``log2 t`` phase qubits wider than
+    ``MAX_SIM_QUBITS``; needs only the widths, so it runs before any work."""
+    phase_size = t.bit_length() - 1
+    width = work_qubits + phase_size
+    if width > MAX_SIM_QUBITS:
+        raise ResourceLimitError(
+            f"{width} qubits ({work_qubits} work + {phase_size} phase) "
+            f"exceeds the simulator cap of {MAX_SIM_QUBITS}"
+        )
+
+
 class PhaseEstimation:
     """Exact QPE outcome distribution for one (circuit, t) pair.
 
@@ -154,15 +166,9 @@ class PhaseEstimation:
     def __init__(self, circuit: CompiledCircuit, t: int):
         if t < 2 or t & (t - 1):
             raise ValueError("t must be a power of two >= 2")
-        phase_size = t.bit_length() - 1
-        width = circuit.num_qubits + phase_size
-        if width > MAX_SIM_QUBITS:
-            raise ResourceLimitError(
-                f"{width} qubits ({circuit.num_qubits} work + {phase_size} phase) "
-                f"exceeds the simulator cap of {MAX_SIM_QUBITS}"
-            )
+        check_width(circuit.num_qubits, t)
         self.t = t
-        self.phase = Register("phase", circuit.num_qubits, phase_size)
+        self.phase = Register("phase", circuit.num_qubits, t.bit_length() - 1)
         sv = StateVector(circuit.num_qubits).apply_all(circuit.gates)
         iterate = grover_iterate(circuit)
         cols = np.empty((sv.amplitudes.size, t), dtype=np.complex128, order="F")
@@ -233,7 +239,9 @@ def query_count(result: EstimationResult) -> int:
 
 
 def run_forecast(forest: RandomForest, x: InputObject, config: QaeConfig) -> EstimationResult:
-    """Compile and estimate; fills the raw-scale forecast when target is 'r'."""
+    """Compile and estimate; fills the raw-scale forecast when target is 'r'.
+    The width is checked before anything is compiled."""
+    check_width(check_compilable(forest, x), config.t)
     circuit = compile_forest_op(forest, x)
     result = estimate_with_boosting(circuit, config)
     if config.target == "r":

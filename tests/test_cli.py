@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -197,6 +198,29 @@ def test_forecast_resource_exit_code(tmp_path):
     path = write_two_tree_forest(tmp_path)
     assert run_cli("forecast", "--forest", str(path), "--input", "0.2",
                    "--t", str(2**20)) == 4
+
+
+def test_forecast_width_is_checked_before_compiling(tmp_path, capsys):
+    # 1 + 16 + 1 work qubits + 5 phase qubits: one over the cap.  The tiny
+    # document loads into 2^16 slots (1.3 MiB of arrays); compiling it would
+    # peak at about 400 MiB under tracemalloc, refusing it takes 2.1 MiB.
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps({
+        "n": 1, "h": 16, "schema": [{"kind": "real"}],
+        "trees": [{"nodes": {"1": {"kind": "threshold-greater", "attr": 1, "threshold": 0.5}},
+                   "leaves": {"2": 0.0, "3": 1.0}}],
+    }))
+    tracemalloc.start()
+    try:
+        code = run_cli("forecast", "--forest", str(path), "--input", "0.7", "--mode", "quantum", "--t", "32")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert "23 qubits (18 work + 5 phase) exceeds the simulator cap of 22" in capsys.readouterr().err
+    assert peak < 8 << 20
+    assert run_cli("reproduce", "--t", str(2**20)) == 4
+    assert "25 qubits (5 work + 20 phase)" in capsys.readouterr().err
 
 
 def test_forecast_subnormal_delta(tmp_path, capsys):

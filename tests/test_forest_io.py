@@ -1,11 +1,18 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qrforest
 from conftest import MIXED_SCHEMA, forest_documents, random_instance
+from qrforest import forest_io
 from qrforest.config import MAX_FOREST_SLOTS
 from qrforest.exceptions import ForestFormatError
 from qrforest.forest_io import (
@@ -14,7 +21,7 @@ from qrforest.forest_io import (
     load_forest,
     save_forest,
 )
-from qrforest.model import InputObject, generate_random_forest, walk_forest
+from qrforest.model import Attribute, InputObject, RandomForest, generate_random_forest, walk_forest
 
 MINIMAL = """
 {
@@ -95,10 +102,38 @@ def test_equals_threshold_must_be_a_category():
         load_forest(json.dumps(doc))
 
 
-def test_non_decimal_index_rejected():
+@pytest.mark.parametrize("key", ["03", "\u00b2", "\u0661"])  # "²" and Arabic-Indic one are digits too
+def test_non_decimal_index_rejected(key):
     doc = _minimal_doc()
-    doc["trees"][0]["leaves"]["03"] = doc["trees"][0]["leaves"].pop("3")
-    with pytest.raises(ForestFormatError, match="decimal"):
+    doc["trees"][0]["leaves"][key] = doc["trees"][0]["leaves"].pop("3")
+    with pytest.raises(ForestFormatError, match="is not a decimal string"):
+        load_forest(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entries, key, message", [
+    ("nodes", "0", "node index out of range [1, 1]"),
+    ("nodes", "2", "node index out of range [1, 1]"),
+    ("leaves", "0", "leaf index out of range [1, 3]"),
+    ("leaves", "4", "leaf index out of range [1, 3]"),
+])
+def test_index_range_edges(entries, key, message):
+    doc = _minimal_doc()
+    doc["trees"][0][entries][key] = doc["trees"][0]["nodes"]["1"] if entries == "nodes" else 1.0
+    with pytest.raises(ForestFormatError) as e:
+        load_forest(json.dumps(doc))
+    assert str(e.value) == f"trees[0].{entries}[{key!r}]: {message}"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integers_beyond_the_double_range_are_not_finite(sign):
+    huge = sign * 10**400
+    doc = _minimal_doc()
+    doc["trees"][0]["nodes"]["1"]["threshold"] = huge
+    with pytest.raises(ForestFormatError, match=r"nodes\['1'\]\.threshold: number must be finite"):
+        load_forest(json.dumps(doc))
+    doc = _minimal_doc()
+    doc["trees"][0]["leaves"]["3"] = huge
+    with pytest.raises(ForestFormatError, match=r"leaves\['3'\]: number must be finite"):
         load_forest(json.dumps(doc))
 
 
@@ -221,10 +256,9 @@ def _json_type(value):
     return float if isinstance(value, (int, float)) else type(value)
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.data())
-def test_mutated_documents_raise_only_forest_format_error(data):
-    doc = data.draw(forest_documents(max_h=3))
+def _mutate_value(doc, data):
+    """Delete one object field, or swap one value for a JSON value of
+    another type."""
     path, in_dict = data.draw(st.sampled_from(list(_locations(doc))))
     parent = doc
     for key in path[:-1]:
@@ -236,5 +270,180 @@ def test_mutated_documents_raise_only_forest_format_error(data):
         parent[path[-1]] = data.draw(
             st.sampled_from([v for v in _JSON_VALUES if _json_type(v) != _json_type(old)])
         )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_mutated_documents_raise_only_forest_format_error(data):
+    doc = data.draw(forest_documents(max_h=3))
+    _mutate_value(doc, data)
     with pytest.raises(ForestFormatError):
         load_forest(json.dumps(doc))
+
+
+def _loaded(text):
+    """The four forest arrays as (dtype, shape, bytes), or the error message."""
+    try:
+        forest = load_forest(text)
+    except ForestFormatError as e:
+        return str(e)
+    arrays = (forest.kind, forest.attribute, forest.threshold, forest.leaf)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_BAD_KEYS = (
+    lambda k: "0" + k,
+    lambda k: " " + k,
+    lambda k: "+" + k,
+    lambda k: k[0] + "_" + (k[1:] or "0"),
+    lambda k: k.translate(_ARABIC_INDIC),
+    lambda k: "²",
+)
+
+
+def _entries(doc, data):
+    """The nodes or the leaves object of one tree."""
+    return data.draw(st.sampled_from(doc["trees"]))[data.draw(st.sampled_from(("nodes", "leaves")))]
+
+
+def _predicate(doc, data):
+    nodes = [node for tree in doc["trees"] for _, node in sorted(tree["nodes"].items())]
+    return data.draw(st.sampled_from(nodes)) if nodes else {}
+
+
+def _rename_key(doc, data):
+    entries = _entries(doc, data)
+    if entries:
+        key = data.draw(st.sampled_from(sorted(entries)))
+        entries[data.draw(st.sampled_from(_BAD_KEYS))(key)] = entries.pop(key)
+
+
+def _odd_number(doc, data):
+    tree = data.draw(st.sampled_from(doc["trees"]))
+    value = data.draw(st.sampled_from(
+        (10**400, -(10**400), 10**300, 2**64 + 1, math.inf, -math.inf, math.nan, True, "1", None)))
+    if tree["nodes"] and data.draw(st.booleans()):
+        tree["nodes"][data.draw(st.sampled_from(sorted(tree["nodes"])))]["threshold"] = value
+    else:
+        tree["leaves"][data.draw(st.sampled_from(sorted(tree["leaves"])))] = value
+
+
+def _equals_threshold(doc, data):
+    _predicate(doc, data).update(
+        kind="equals",
+        attr=data.draw(st.integers(1, len(doc["schema"]))),
+        threshold=data.draw(st.sampled_from((1.5, 2.5, 0, 1, 3, 4))),
+    )
+
+
+def _odd_attr(doc, data):
+    _predicate(doc, data)["attr"] = data.draw(st.sampled_from((0, 5, 1.0, True, None)))
+
+
+def _odd_kind(doc, data):
+    _predicate(doc, data)["kind"] = data.draw(st.sampled_from(("equal", "Equals", ["equals"], 1)))
+
+
+def _extra_field(doc, data):
+    _predicate(doc, data)["extra"] = 1
+
+
+def _add_entry(doc, data):
+    """Declare one more leaf or node: at a range edge, below a leaf, or
+    anywhere."""
+    tree = data.draw(st.sampled_from(doc["trees"]))
+    h = doc["h"]
+    below_leaves = sorted(2 * int(k) + b for k in tree["leaves"] for b in (0, 1))
+    j = data.draw(st.one_of(
+        st.sampled_from((0, 1, (1 << h) - 1, 1 << h, (2 << h) - 1, 2 << h)),
+        st.sampled_from(below_leaves),
+        st.integers(0, 4 << h),
+    ))
+    entry = data.draw(st.sampled_from((1.0, {"kind": "threshold-greater", "attr": 1, "threshold": 0.5})))
+    tree["leaves" if entry == 1.0 else "nodes"][str(j)] = entry
+
+
+def _drop_entry(doc, data):
+    entries = _entries(doc, data)
+    if entries:
+        del entries[data.draw(st.sampled_from(sorted(entries)))]
+
+
+def _keep(doc, data):
+    pass
+
+
+@pytest.mark.parametrize("mutate", [
+    _keep, _mutate_value, _rename_key, _odd_number, _equals_threshold, _odd_attr, _odd_kind,
+    _extra_field, _add_entry, _drop_entry,
+])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_bulk_load_agrees_with_the_per_entry_parser(mutate, data):
+    doc = data.draw(forest_documents(max_h=3))
+    mutate(doc, data)
+    text = json.dumps(doc)
+    with mock.patch.object(forest_io, "_fill_tree", return_value=False):
+        reference = _loaded(text)
+    if isinstance(reference, str):
+        assert _loaded(text) == reference
+    else:  # a valid document never reaches the per-entry parser
+        reached = AssertionError("per-entry parser reached")
+        with mock.patch.object(forest_io, "_parse_tree", side_effect=reached):
+            assert _loaded(text) == reference
+
+
+_KIND_NAMES = ("threshold-greater", "equals")
+
+
+def _indent2_document(forest):
+    """The canonical document built as a dict and written by json itself."""
+    schema = [{"kind": "real"} if a.kind == "real" else {"kind": "discrete", "categories": a.categories}
+              for a in forest.schema]
+    width = forest.leaf.shape[1]
+    trees = []
+    for i in range(forest.n):
+        nodes = {}
+        for j in range(1, width):
+            kind = int(forest.kind[i, j])
+            t = float(forest.threshold[i, j])
+            nodes[str(j)] = {"kind": _KIND_NAMES[kind], "attr": int(forest.attribute[i, j]),
+                             "threshold": int(t) if _KIND_NAMES[kind] == "equals" else t}
+        leaves = {str(width + j): float(forest.leaf[i, j]) for j in range(width)}
+        trees.append({"nodes": nodes, "leaves": leaves})
+    doc = {"n": forest.n, "h": forest.height, "schema": schema, "trees": trees}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_save_writes_the_indent2_json_document():
+    forest = RandomForest(
+        (Attribute("real"), Attribute("discrete", 3)),
+        kind=[[0, 0, 1, 0], [0, 1, 0, 1]],
+        attribute=[[1, 1, 2, 1], [1, 2, 1, 2]],
+        threshold=[[0.0, -0.0, 3.0, 1e-300], [0.0, 1.0, 1e300, 2.0]],
+        leaf=[[-0.0, 1e-300, 1e300, 5e-324], [0.1, -2.5, 7.0, -1e300]],
+    )
+    assert save_forest(forest) == _indent2_document(forest)
+
+
+@settings(deadline=None, max_examples=100)
+@given(forest_documents())
+def test_save_writes_the_indent2_json_document_for_documents(doc):
+    forest = load_forest(json.dumps(doc))
+    assert save_forest(forest) == _indent2_document(forest)
+
+
+def test_load_and_save_leave_numpy_ma_unimported():
+    # numpy.ma costs about 1 MB of RSS on its first import.
+    code = (
+        "import sys; from qrforest.forest_io import load_forest, save_forest\n"
+        "from qrforest.model import Attribute, generate_random_forest\n"
+        "f = generate_random_forest(4, 3, (Attribute('real'), Attribute('discrete', 3)), (0.0, 1.0), 1)\n"
+        "save_forest(load_forest(save_forest(f)))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qrforest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -262,3 +262,7 @@ def test_forest_construction_checks():
         _forest(attribute=((1, 0),))  # attributes are 1-based
     with pytest.raises(ValueError):
         _forest(attribute=((1, 2),))  # beyond the schema
+    for bad in (np.inf, -np.inf, np.nan):  # save_forest could not write it back
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            _forest(threshold=((0.0, bad),))
+    _forest(threshold=((np.inf, 0.0),))  # slot 0 is no node
