@@ -45,7 +45,6 @@ from .qae import (
     PhaseEstimation,
     QaeConfig,
     error_bound,
-    error_bound_relaxed,
     estimate_of,
     estimate_with_boosting,
     query_count,
@@ -53,6 +52,6 @@ from .qae import (
     run_forecast,
     sample_outcomes,
 )
-from .statevector import Register, StateVector, dump_amplitudes
+from .statevector import Register, StateVector
 
 __version__ = "0.1.0"

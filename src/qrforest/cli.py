@@ -213,11 +213,11 @@ def cmd_reproduce(args) -> int:
     if args.runs < 1:
         raise QrfError("need at least one run")
     forest, x = reference_forest(), reference_input()
+    check_width(check_compilable(forest, x), args.t)
     beta_cl = beta_classical(forest, x)
     r_cl = forecast_classical(forest, x)
     spread = forest.y_max - forest.y_min
     bound = error_bound(beta_cl, args.t)
-    check_width(check_compilable(forest, x), args.t)
     outcomes = sample_outcomes(compile_forest_op(forest, x), args.t, args.seed, args.runs)
 
     runs = []

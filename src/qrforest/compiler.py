@@ -30,7 +30,6 @@ import numpy as np
 
 from . import gates as g
 from .exceptions import DegenerateRangeError, UnsupportedForestError
-from .forest_io import forest_fingerprint, input_fingerprint
 from .model import InputObject, RandomForest, branch_outcomes
 from .statevector import Register
 
@@ -56,16 +55,13 @@ def leaf_angles(forest: RandomForest) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    """Immutable gate list over the lambda/psi/phi layout, tagged with the
-    fingerprints of the forest and input it was compiled from."""
+    """Immutable gate list over the lambda/psi/phi layout."""
 
     registers: tuple[Register, ...]
     gates: tuple[g.Gate, ...]
     num_qubits: int
     n_trees: int
     height: int
-    forest_hash: str
-    input_hash: str
 
     def register(self, name: str) -> Register:
         for r in self.registers:
@@ -140,13 +136,11 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
         num_qubits=num_qubits,
         n_trees=n,
         height=h,
-        forest_hash=forest_fingerprint(forest),
-        input_hash=input_fingerprint(x),
     )
 
 
 def compile_inverse(circuit: CompiledCircuit) -> CompiledCircuit:
-    """Gatewise inverse in reverse order; same registers and fingerprints."""
+    """Gatewise inverse in reverse order, over the same registers."""
     return replace(circuit, gates=tuple(g.inverse(gate) for gate in reversed(circuit.gates)))
 
 

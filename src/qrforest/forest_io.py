@@ -39,16 +39,16 @@ json's ``float.__repr__``; every saved number is finite).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 
 from .config import MAX_FOREST_SLOTS
 from .exceptions import ForestFormatError
-from .model import EQUALS, PREDICATE_KINDS, Attribute, InputObject, RandomForest
+from .model import EQUALS, PREDICATE_KINDS, Attribute, RandomForest
 
 
 def _require_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
@@ -64,7 +64,10 @@ def _parse_index(key: str, where: str) -> int:
     decimal = isinstance(key, str) and key.isascii() and key.isdigit()  # isdigit alone admits "²"
     if not decimal or (key != "0" and key.startswith("0")):
         raise ForestFormatError(f"{where}: index key {key!r} is not a decimal string")
-    return int(key)
+    try:
+        return int(key)
+    except ValueError:  # more digits than int() converts; far beyond any index range
+        raise ForestFormatError(f"{where}: index key of {len(key)} digits is out of range") from None
 
 
 def _parse_number(value, where: str) -> float:
@@ -259,6 +262,11 @@ def load_forest(text: str) -> RandomForest:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ForestFormatError(f"not valid JSON: {e}") from None
+    except ValueError:  # an integer literal with more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise ForestFormatError(f"not valid JSON: a number has more than {limit} digits") from None
+    except RecursionError:
+        raise ForestFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ForestFormatError("top level: expected an object")
     _require_keys(doc, ("n", "h", "schema", "trees"), "top level")
@@ -327,12 +335,3 @@ def save_forest(forest: RandomForest) -> str:
         trees.append(_TREE_TEMPLATE % (",\n".join(nodes), ",\n".join(leaves)))
     return head[: -len("\n}")] + ',\n  "trees": [\n' + ",\n".join(trees) + "\n  ]\n}\n"
 
-
-def forest_fingerprint(forest: RandomForest) -> str:
-    """SHA-256 of the canonical document; stable identity for caching."""
-    return hashlib.sha256(save_forest(forest).encode()).hexdigest()
-
-
-def input_fingerprint(x: InputObject) -> str:
-    """SHA-256 of the canonical value list."""
-    return hashlib.sha256(",".join(repr(v) for v in x.values).encode()).hexdigest()

@@ -13,12 +13,12 @@ Conventions, fixed package-wide:
 
 All parameters are stored as plain tuples (matrices as nested 2x2 tuples),
 so gates are hashable and compare by value; ``inverse(inverse(g)) == g``
-exactly.  For the simulator kernels every gate but swap also lowers its
+exactly.  For the simulator's view kernel every gate but swap also lowers its
 parameters once, on first use, to a read-only ``(2^s, 2, 2)`` complex array
 (``Gate.block_array``).  ``gate_matrix`` builds the dense unitary by
 per-basis-state index arithmetic from the tuples through ``_block_for``,
-deliberately sharing no code with the lowering or with the strided kernels
-in ``statevector`` so the two can check each other.
+deliberately sharing no code with the lowering or with the view kernel in
+``statevector`` so the two can check each other.
 """
 from __future__ import annotations
 
@@ -99,12 +99,6 @@ class Gate:
         blocks.flags.writeable = False
         return blocks
 
-    @cached_property
-    def scalar_block(self) -> list[list[complex]]:
-        """``block_array[0]`` as Python complex scalars, which the one-qubit
-        kernel multiplies faster than numpy scalars."""
-        return self.block_array[0].tolist()
-
 
 def h(q: int) -> Gate:
     return Gate("h", (q,))
@@ -167,27 +161,6 @@ def swap_as_cnots(a: int, b: int) -> list[Gate]:
     return [cnot(a, b), cnot(b, a), cnot(a, b)]
 
 
-def controlled(gate: Gate, qubit: int, value: int = 1) -> Gate:
-    """Same gate, applied only when ``qubit`` has the given value.
-
-    For ucg/ucr the control folds into the select register (new most
-    significant select), padding the inactive half with identity blocks.
-    The simulator's phase estimation needs no controlled gates; this serves
-    the dense textbook oracle.
-    """
-    if gate.kind == "ucg":
-        (blocks,) = gate.params
-        pad = (_ID,) * len(blocks)
-        new = blocks + pad if value == 0 else pad + blocks
-        return ucg((qubit, *gate.selects), gate.target, new)
-    if gate.kind == "ucr":
-        (angles,) = gate.params
-        pad = (0.0,) * len(angles)
-        new = angles + pad if value == 0 else pad + angles
-        return ucr((qubit, *gate.selects), gate.target, new)
-    return Gate(gate.kind, gate.qubits, gate.params, gate.controls + ((qubit, value),))
-
-
 def inverse(gate: Gate) -> Gate:
     """Inverse gate: Ry negates its angle, ucg/ucr invert blockwise, the
     rest are self-inverse (u conjugate-transposes)."""
@@ -232,7 +205,7 @@ def gate_matrix(gate: Gate, num_qubits: int | None = None) -> np.ndarray:
     """Dense unitary of the gate on ``num_qubits`` qubits (test oracle).
 
     Built column by column from the gate's definition using only index
-    arithmetic; independent of the simulator kernels.
+    arithmetic; independent of the simulator's view kernel.
     """
     if num_qubits is None:
         num_qubits = max(list(gate.qubits) + [q for q, _ in gate.controls]) + 1

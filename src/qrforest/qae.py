@@ -21,9 +21,9 @@ register is ``np.fft.fft`` along the columns divided by ``t``.  The width
 cap still counts work + phase qubits, since the ``t`` columns hold as many
 amplitudes as the textbook state.
 
-The outcome distribution is a deterministic function of (forest, input, t),
-so it is memoized; repetitions stay independent through their measurement
-seeds and draw from exactly the distribution a fresh simulation would give.
+The outcome distribution is a deterministic function of (forest, input, t)
+and is simulated once per call of ``sample_outcomes``; the repetitions of
+that call stay independent through their measurement seeds.
 
 Counting conventions (exposed through the result object) are those of the
 textbook circuit, not of the simulator's work: one preparation of the
@@ -49,9 +49,6 @@ from .statevector import Register, StateVector
 # probability <= delta; 12 leaves generous slack.
 _BOOST_CONSTANT = 12.0
 
-_ENGINE_CACHE: dict[tuple, "PhaseEstimation"] = {}
-_ENGINE_CACHE_CAP = 128
-
 
 def repetitions_for_delta(delta: float) -> int:
     """Smallest odd repetition count >= 12 ln(1/delta)."""
@@ -64,6 +61,11 @@ def repetitions_for_delta(delta: float) -> int:
 # No failure bound needs more runs than the smallest positive double does
 # (8935), so no request for more is ever useful.
 MAX_REPETITIONS = repetitions_for_delta(math.ulp(0.0))
+
+
+def _check_t(t: int) -> None:
+    if t < 2 or t & (t - 1):
+        raise ValueError("t must be a power of two >= 2")
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,7 @@ class QaeConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.t < 2 or self.t & (self.t - 1):
-            raise ValueError("t must be a power of two >= 2")
+        _check_t(self.t)
         if self.repetitions is not None and self.delta is not None:
             raise ValueError("give repetitions or delta, not both")
         if self.repetitions is not None and (self.repetitions < 1 or self.repetitions % 2 == 0):
@@ -130,19 +131,16 @@ def error_bound(beta_estimate: float, t: int) -> float:
     return 2.0 * math.pi * math.sqrt(b * (1.0 - b)) / t + math.pi**2 / t**2
 
 
-def error_bound_relaxed(t: int) -> float:
-    """Estimate-free relaxation 2 pi / t + pi^2 / t^2."""
-    return 2.0 * math.pi / t + math.pi**2 / t**2
-
-
 def estimate_of(outcome: int, t: int) -> float:
     """The amplitude estimate ``sin^2(pi k / t)`` read off phase outcome k."""
     return math.sin(math.pi * outcome / t) ** 2
 
 
 def check_width(work_qubits: int, t: int) -> None:
-    """Refuse a run of ``work_qubits`` plus ``log2 t`` phase qubits wider than
+    """Refuse a phase grid ``t`` that is not a power of two >= 2, then a run
+    of ``work_qubits`` plus ``log2 t`` phase qubits wider than
     ``MAX_SIM_QUBITS``; needs only the widths, so it runs before any work."""
+    _check_t(t)
     phase_size = t.bit_length() - 1
     width = work_qubits + phase_size
     if width > MAX_SIM_QUBITS:
@@ -164,8 +162,6 @@ class PhaseEstimation:
     """
 
     def __init__(self, circuit: CompiledCircuit, t: int):
-        if t < 2 or t & (t - 1):
-            raise ValueError("t must be a power of two >= 2")
         check_width(circuit.num_qubits, t)
         self.t = t
         self.phase = Register("phase", circuit.num_qubits, t.bit_length() - 1)
@@ -189,17 +185,6 @@ class PhaseEstimation:
         return min(k, self.t - 1)
 
 
-def _engine(circuit: CompiledCircuit, t: int) -> PhaseEstimation:
-    key = (circuit.forest_hash, circuit.input_hash, hash(circuit.gates), t)
-    engine = _ENGINE_CACHE.get(key)
-    if engine is None:
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_CAP:
-            _ENGINE_CACHE.clear()
-        engine = PhaseEstimation(circuit, t)
-        _ENGINE_CACHE[key] = engine
-    return engine
-
-
 def sample_outcomes(circuit: CompiledCircuit, t: int, seed: int | None, count: int) -> tuple[int, ...]:
     """Phase outcomes of ``count`` independent runs, run ``i`` drawing from
     ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Every estimate in
@@ -208,7 +193,7 @@ def sample_outcomes(circuit: CompiledCircuit, t: int, seed: int | None, count: i
         raise ResourceLimitError(
             f"{count} runs requested; no failure bound needs more than {MAX_REPETITIONS}"
         )
-    engine = _engine(circuit, t)
+    engine = PhaseEstimation(circuit, t)
     seeds = np.random.SeedSequence(seed).spawn(count)
     return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)
 

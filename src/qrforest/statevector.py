@@ -2,10 +2,13 @@
 
 A ``StateVector`` holds 2^N complex128 amplitudes; qubit 0 is the most
 significant bit of the basis index (so |q0 q1 ... q_{N-1}> reads left to
-right as a binary number).  Gates are applied in place through vectorized
-stride kernels; a state is exclusively owned while being mutated.  Dense
-matrices never appear here -- ``gates.gate_matrix`` is the independent
-oracle the kernels are tested against.
+right as a binary number).  Gates are applied in place by one view kernel:
+the amplitudes are reshaped to a ``(2,) * N`` array, basic indexing fixes
+the control and target axes, and the gate's 2x2 blocks combine the two
+resulting views (after Häner and Steiger, arXiv:1704.01127).  A state is
+exclusively owned while being mutated.  Dense matrices never appear here --
+``gates.gate_matrix`` is the independent oracle the kernel is tested
+against.
 """
 from __future__ import annotations
 
@@ -17,17 +20,6 @@ import numpy as np
 from . import gates as g
 from .config import ATOL_PROB, ATOL_STATE, MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
-
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(dim: int) -> np.ndarray:
-    arr = _INDEX_CACHE.get(dim)
-    if arr is None:
-        arr = np.arange(dim, dtype=np.int64)
-        _INDEX_CACHE[dim] = arr
-    return arr
-
 
 @dataclass(frozen=True)
 class Register:
@@ -90,72 +82,51 @@ class StateVector:
     # -- gate application -------------------------------------------------
 
     def apply(self, gate: g.Gate) -> "StateVector":
+        """Apply one gate in place.  The amplitudes are viewed as a ``(2,) * n``
+        array, so axis ``q`` is qubit ``q``; fixing the control axes and each
+        value of the target axis gives the two views the 2x2 blocks act on."""
         n = self.num_qubits
         for q in list(gate.qubits) + [q for q, _ in gate.controls]:
             if q >= n:
                 raise ValueError(f"gate touches qubit {q} but state has {n}")
-        if gate.kind in ("h", "x", "ry", "u"):
-            self._apply_block(gate.scalar_block, gate.target, gate.controls)
-        elif gate.kind == "swap":
-            self._apply_swap(*gate.qubits, gate.controls)
-        elif gate.kind in ("ucg", "ucr"):
-            self._apply_ucg(gate.selects, gate.target, gate.block_array, gate.controls)
-        else:
+        if gate.kind not in ("h", "x", "ry", "u", "swap", "ucg", "ucr"):
             raise ValueError(f"unknown gate kind {gate.kind!r}")
+        psi = self._amp.reshape((2,) * n)
+        at: list = [slice(None)] * n
+        for q, v in gate.controls:
+            at[q] = v
+        # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a scalar.
+        if gate.kind == "swap":
+            qa, qb = gate.qubits
+            at[qa], at[qb] = 1, 0
+            v10 = psi[(*at, ...)]
+            at[qa], at[qb] = 0, 1
+            v01 = psi[(*at, ...)]
+            tmp = v01.copy()
+            v01[...] = v10
+            v10[...] = tmp
+            return self
+        selects, target = gate.selects, gate.target
+        at[target] = 0
+        a = psi[(*at, ...)]
+        at[target] = 1
+        b = psi[(*at, ...)]
+        # Block k is indexed by the selects in list order; the views hold them
+        # in qubit order, with a length-1 axis for every other free qubit.
+        order = sorted(range(len(selects)), key=selects.__getitem__)
+        shape = [2 if q in selects else 1 for q in range(n) if type(at[q]) is slice]
+        c = (
+            gate.block_array.reshape((2,) * len(selects) + (2, 2))
+            .transpose(*order, -2, -1)
+            .reshape(*shape, 2, 2)
+        )
+        a[...], b[...] = c[..., 0, 0] * a + c[..., 0, 1] * b, c[..., 1, 0] * a + c[..., 1, 1] * b
         return self
 
     def apply_all(self, gate_seq: Iterable[g.Gate]) -> "StateVector":
         for gate in gate_seq:
             self.apply(gate)
         return self
-
-    def _mask(self, qubit: int) -> int:
-        return 1 << (self.num_qubits - 1 - qubit)
-
-    def _control_masks(self, controls) -> tuple[int, int]:
-        cmask = cwant = 0
-        for q, v in controls:
-            m = self._mask(q)
-            cmask |= m
-            cwant |= m * v
-        return cmask, cwant
-
-    def _apply_block(self, block, target, controls) -> None:
-        amp = self._amp
-        tmask = self._mask(target)
-        cmask, cwant = self._control_masks(controls)
-        idx = _indices(amp.size)
-        i0 = idx[(idx & (cmask | tmask)) == cwant]
-        i1 = i0 | tmask
-        a, b = amp[i0], amp[i1]
-        amp[i0] = block[0][0] * a + block[0][1] * b
-        amp[i1] = block[1][0] * a + block[1][1] * b
-
-    def _apply_swap(self, qa, qb, controls) -> None:
-        amp = self._amp
-        amask, bmask = self._mask(qa), self._mask(qb)
-        cmask, cwant = self._control_masks(controls)
-        idx = _indices(amp.size)
-        i10 = idx[(idx & (cmask | amask | bmask)) == (cwant | amask)]
-        i01 = (i10 ^ amask) | bmask
-        tmp = amp[i01]
-        amp[i01] = amp[i10]
-        amp[i10] = tmp
-
-    def _apply_ucg(self, selects, target, blocks, controls) -> None:
-        amp = self._amp
-        n = self.num_qubits
-        tmask = self._mask(target)
-        cmask, cwant = self._control_masks(controls)
-        idx = _indices(amp.size)
-        i0 = idx[(idx & (cmask | tmask)) == cwant]
-        i1 = i0 | tmask
-        k = np.zeros(i0.shape, dtype=np.int64)
-        for q in selects:
-            k = (k << 1) | ((i0 >> (n - 1 - q)) & 1)
-        a, b = amp[i0], amp[i1]
-        amp[i0] = blocks[k, 0, 0] * a + blocks[k, 0, 1] * b
-        amp[i1] = blocks[k, 1, 0] * a + blocks[k, 1, 1] * b
 
     # -- readout -----------------------------------------------------------
 
@@ -165,15 +136,11 @@ class StateVector:
         qubits = tuple(qubits)
         if not 0 <= value < (1 << len(qubits)):
             raise ValueError(f"value {value} out of range for {len(qubits)} qubits")
-        mask = want = 0
+        at: list = [slice(None)] * self.num_qubits
         for pos, q in enumerate(qubits):
-            m = self._mask(q)
-            mask |= m
-            if (value >> (len(qubits) - 1 - pos)) & 1:
-                want |= m
-        idx = _indices(self._amp.size)
-        sel = (idx & mask) == want
-        return float(np.sum(np.abs(self._amp[sel]) ** 2))
+            at[q] = (value >> (len(qubits) - 1 - pos)) & 1
+        view = self._amp.reshape((2,) * self.num_qubits)[(*at, ...)]
+        return float(np.sum(np.abs(view) ** 2))
 
     def sample(self, rng: np.random.Generator | int | None) -> int:
         """Draw one basis index from |a_j|^2 (inverse CDF on rng.random())."""
@@ -187,9 +154,3 @@ class StateVector:
         k = int(np.searchsorted(cum, rng.random() * total, side="right"))
         return min(k, self._amp.size - 1)
 
-
-def dump_amplitudes(state: StateVector) -> str:
-    """Debug dump: one ``index real imag`` line per amplitude."""
-    return "\n".join(
-        f"{i} {float(a.real)!r} {float(a.imag)!r}" for i, a in enumerate(state.amplitudes)
-    )

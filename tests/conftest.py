@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from qrforest import gates as g
 from qrforest.model import (
     Attribute,
     InputObject,
@@ -57,8 +59,8 @@ def random_unitary_2x2(rng):
 
 
 def gate_menu(num_qubits, rng):
-    """One randomly parameterized gate of every kind, on random qubits."""
-    from qrforest import gates as g
+    """One randomly parameterized gate of every kind, on random qubits, plus
+    controlled and select-order variants (needs ``num_qubits >= 3``)."""
 
     def pick(k):
         return tuple(int(q) for q in rng.choice(num_qubits, size=k, replace=False))
@@ -68,6 +70,14 @@ def gate_menu(num_qubits, rng):
     a2, b2 = pick(2)
     cs, csa, csb = pick(3)
     sel = pick(3)
+    cc0, cc1, *csel, ct = pick(min(num_qubits, 4))  # one select, or none on three qubits
+    *dsel, dt = pick(min(num_qubits, 4))
+    dsel = tuple(sorted(dsel, reverse=True))  # three selects, or two on three qubits
+    x0, x1, xt = pick(3)
+
+    def blocks(selects):
+        return [random_unitary_2x2(rng) for _ in range(2 ** len(selects))]
+
     menu = [
         ("h", g.h(q1)),
         ("x", g.x(q1)),
@@ -81,8 +91,36 @@ def gate_menu(num_qubits, rng):
         ("ucr", g.ucr(sel[:-1], sel[-1], rng.uniform(-np.pi, np.pi, size=4))),
         ("reflection", g.reflection_about_zero(tuple(range(num_qubits)))),
         ("z", g.pauli_z(q1)),
+        ("controlled-ucg", replace(g.ucg(tuple(csel), ct, blocks(csel)), controls=((cc0, 0), (cc1, 1)))),
+        ("controlled-ucr", replace(
+            g.ucr(tuple(csel), ct, rng.uniform(-np.pi, np.pi, size=2 ** len(csel))),
+            controls=((cc0, 1), (cc1, 0)),
+        )),
+        ("ucg-descending-selects", g.ucg(dsel, dt, blocks(dsel))),
+        ("mixed-controlled-x", g.Gate("x", (xt,), controls=((x0, 0), (x1, 1)))),
     ]
     return menu
+
+
+def controlled(gate, qubit, value=1):
+    """Same gate, applied only when ``qubit`` has the given value; the dense
+    textbook phase-estimation oracle builds its controlled Grover powers
+    from it, so it lives here, apart from the engine.
+
+    For ucg/ucr the control folds into the select register (new most
+    significant select), padding the inactive half with identity blocks.
+    """
+    if gate.kind == "ucg":
+        (blocks,) = gate.params
+        pad = (g._ID,) * len(blocks)
+        new = blocks + pad if value == 0 else pad + blocks
+        return g.ucg((qubit, *gate.selects), gate.target, new)
+    if gate.kind == "ucr":
+        (angles,) = gate.params
+        pad = (0.0,) * len(angles)
+        new = angles + pad if value == 0 else pad + angles
+        return g.ucr((qubit, *gate.selects), gate.target, new)
+    return g.Gate(gate.kind, gate.qubits, gate.params, gate.controls + ((qubit, value),))
 
 
 def recursive_walk_oracle(text, x):
@@ -152,6 +190,7 @@ __all__ = [
     "MIXED_SCHEMA",
     "random_instance",
     "two_leaf_forest",
+    "controlled",
     "forest_documents",
     "document_inputs",
     "random_statevector",

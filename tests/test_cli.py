@@ -279,6 +279,12 @@ def test_reproduce_draws_the_boosting_stream(capsys, runs, seed):
     assert tuple(row["beta_estimate"] for row in doc["results"]) == result.raw_estimates
 
 
+@pytest.mark.parametrize("t", ["0", "3", "-4"])
+def test_reproduce_rejects_a_bad_phase_grid(capsys, t):
+    assert run_cli("reproduce", "--t", t) == 3
+    assert "t must be a power of two >= 2" in capsys.readouterr().err
+
+
 def test_reproduce_text_format(capsys):
     assert run_cli("reproduce", "--runs", "3", "--seed", "1") == 0
     text = capsys.readouterr().out

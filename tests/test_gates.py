@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gate_menu, random_unitary_2x2
+from conftest import controlled, gate_menu, random_unitary_2x2
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.gates import (
-    controlled,
     gate_matrix,
     inverse,
     reflection_about_zero,

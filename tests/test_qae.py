@@ -1,4 +1,3 @@
-import gc
 import math
 
 import numpy as np
@@ -6,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, two_leaf_forest
-from qrforest import qae
-from qrforest.compiler import CompiledCircuit, compile_forest_op
+from conftest import controlled, random_instance, two_leaf_forest
+from qrforest.compiler import compile_forest_op
 from qrforest.exceptions import ResourceLimitError
-from qrforest.gates import Gate
 from qrforest.model import InputObject, beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     EstimationResult,
     PhaseEstimation,
     QaeConfig,
     error_bound,
-    error_bound_relaxed,
     estimate_of,
     estimate_with_boosting,
     query_count,
@@ -116,7 +112,7 @@ def test_engine_matches_dense_matrix_phase_estimation(n, h, seed, t):
     """End-to-end oracle: rebuild the whole QPE pipeline with dense matrices
     (via gate_matrix and an explicit DFT matrix) and compare distributions."""
     from qrforest.compiler import grover_iterate
-    from qrforest.gates import controlled, gate_matrix
+    from qrforest.gates import gate_matrix
 
     forest, x = random_instance(n, h, seed)
     circuit = compile_forest_op(forest, x)
@@ -164,18 +160,6 @@ def test_engine_matches_closed_form_on_random_forests(n, h, t, seed):
     expected = exact_outcome_distribution(beta_classical(forest, x), t)
     np.testing.assert_allclose(dist, expected, atol=1e-12)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cached_engines_hold_no_circuit(monkeypatch):
-    monkeypatch.setattr(qae, "_ENGINE_CACHE", {})
-    forest = two_leaf_forest((0.0, 1.0), (1.0, 0.0))
-    for i in range(qae._ENGINE_CACHE_CAP):
-        circuit = compile_forest_op(forest, InputObject.of(i / qae._ENGINE_CACHE_CAP))
-        estimate_with_boosting(circuit, QaeConfig(t=4, repetitions=1, seed=i))
-    assert len(qae._ENGINE_CACHE) == qae._ENGINE_CACHE_CAP
-    for engine in qae._ENGINE_CACHE.values():
-        referents = gc.get_referents(engine) + gc.get_referents(vars(engine))
-        assert not any(isinstance(obj, (CompiledCircuit, Gate)) for obj in referents)
 
 
 def test_boosted_success_rate_at_beta_point_three():
@@ -278,9 +262,10 @@ def test_boosting_does_not_hurt(reference):
 def test_error_bound_values():
     assert error_bound(0.0, 16) == pytest.approx(math.pi**2 / 256)
     assert error_bound(1.0, 16) == pytest.approx(math.pi**2 / 256)
-    assert error_bound_relaxed(32) == pytest.approx(0.206, abs=5e-4)
+    relaxed = 2.0 * math.pi / 32 + math.pi**2 / 32**2  # the estimate-free radius
+    assert relaxed == pytest.approx(0.206, abs=5e-4)
     assert error_bound(0.3, 32) == pytest.approx(error_bound(0.7, 32), rel=1e-12)
-    assert error_bound(0.5, 32) <= error_bound_relaxed(32)
+    assert error_bound(0.5, 32) <= relaxed
 
 
 def test_reference_bound_constants():

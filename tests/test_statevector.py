@@ -7,7 +7,7 @@ from conftest import gate_menu, random_statevector
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.gates import gate_matrix, swap_as_cnots
-from qrforest.statevector import Register, StateVector, dump_amplitudes
+from qrforest.statevector import Register, StateVector
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -161,14 +161,6 @@ def test_out_of_range_qubit_rejected():
 def test_state_width_cap():
     with pytest.raises(ResourceLimitError):
         StateVector(23)
-
-
-def test_dump_amplitudes_round_trip():
-    sv = StateVector(1).apply(g.h(0))
-    lines = dump_amplitudes(sv).splitlines()
-    assert len(lines) == 2
-    idx, re_part, im_part = lines[1].split()
-    assert idx == "1" and float(re_part) == pytest.approx(SQ2) and float(im_part) == 0.0
 
 
 def test_apply_gate_returns_same_object():
