@@ -102,7 +102,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _emit(doc: dict, text: str, args) -> None:
-    _write_out(json.dumps(doc, indent=2) + "\n" if args.format == "structured" else text, args.out)
+    _write_out(json.dumps(doc, indent=2, allow_nan=False) + "\n" if args.format == "structured" else text, args.out)
 
 
 def _comparison_metrics(truth: float, forecast: float) -> dict:
@@ -289,9 +289,12 @@ def cmd_metrics(args) -> int:
             if len(parts) != 2:
                 raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line")
             try:
-                pairs.append(PredictionPair(float(parts[0]), float(parts[1])))
+                pair = PredictionPair(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line") from None
+            if not (math.isfinite(pair.truth) and math.isfinite(pair.forecast)):
+                raise QrfError(f"{args.pairs}:{lineno}: values must be finite")
+            pairs.append(pair)
     if not pairs:
         raise QrfError(f"{args.pairs}: no pairs found")
     wanted = METRIC_NAMES if args.metrics is None else tuple(args.metrics.split(","))

@@ -297,7 +297,10 @@ def load_forest(text: str) -> RandomForest:
         row = tuple(a[i] for a in arrays)
         if not _fill_tree(raw, h, categories, row):
             _parse_tree(raw, h, schema, f"trees[{i}]", row)
-    return RandomForest(schema, *arrays)
+    try:
+        return RandomForest(schema, *arrays)
+    except ValueError as e:  # labels too large to sum
+        raise ForestFormatError(f"trees: {e}") from None
 
 
 # The canonical document is ``json.dumps(doc, indent=2)``: json writes the

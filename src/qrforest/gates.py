@@ -40,11 +40,11 @@ _NEG_ID: Block = ((-1 + 0j, 0j), (0j, -1 + 0j))
 _H: Block = tuple(tuple(complex(v) / math.sqrt(2) for v in row) for row in ((1, 1), (1, -1)))
 
 
-def _as_block(matrix) -> Block:
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
+def _as_blocks(matrices) -> tuple[Block, ...]:  # one array for all, stored as Python complex
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
         raise ValueError("one-qubit unitary must be 2x2")
-    return ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
+    return tuple((tuple(r0), tuple(r1)) for r0, r1 in m.tolist())
 
 
 def _ry_block(angle: float) -> Block:
@@ -113,7 +113,7 @@ def ry(q: int, angle: float) -> Gate:
 
 
 def one_qubit(q: int, matrix) -> Gate:
-    return Gate("u", (q,), (_as_block(matrix),))
+    return Gate("u", (q,), _as_blocks([matrix]))
 
 
 def pauli_z(q: int) -> Gate:
@@ -131,10 +131,10 @@ def swap(a: int, b: int) -> Gate:
 
 
 def ucg(selects: tuple[int, ...], target: int, blocks) -> Gate:
-    blocks = tuple(_as_block(b) for b in blocks)
+    blocks = np.asarray(blocks, dtype=complex)
     if len(blocks) != 2 ** len(selects):
         raise ValueError(f"ucg over {len(selects)} selects needs {2**len(selects)} blocks, got {len(blocks)}")
-    return Gate("ucg", (*selects, target), (blocks,))
+    return Gate("ucg", (*selects, target), (_as_blocks(blocks),))
 
 
 def ucr(selects: tuple[int, ...], target: int, angles) -> Gate:

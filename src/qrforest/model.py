@@ -100,6 +100,8 @@ class RandomForest:
             raise ValueError("predicate thresholds must be finite")
         if not np.isfinite(arrays["leaf"]).all():
             raise ValueError("leaf labels must be finite")
+        if not math.isfinite(2.0 * shape[0] * float(np.abs(arrays["leaf"]).max())):  # bounds every sum
+            raise ValueError(f"leaf labels too large: 2 * n * max|label| overflows for n = {shape[0]}")
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -191,8 +193,8 @@ def beta_to_R(beta: float, y_min: float, y_max: float) -> float:
 def error_metric(pairs: list[PredictionPair], metric: str) -> float:
     """One of MAE, MSE, RMSE, MAPE, wMAPE, sMAPE over (truth, forecast) pairs.
 
-    Raises MetricError on the metric's zero-denominator case: MAPE when some
-    truth is 0, wMAPE when all truths are 0, sMAPE when a pair is (0, 0).
+    Raises MetricError on a zero denominator (MAPE: a truth is 0; wMAPE: all
+    truths are 0; sMAPE: a pair is (0, 0)) and on a value that overflows.
     """
     if metric not in METRIC_NAMES:
         raise ValueError(f"unknown metric {metric!r}")
@@ -200,26 +202,31 @@ def error_metric(pairs: list[PredictionPair], metric: str) -> float:
         raise ValueError("need at least one pair")
     y = np.array([p.truth for p in pairs], dtype=float)
     f = np.array([p.forecast for p in pairs], dtype=float)
-    err = np.abs(y - f)
-    if metric == "MAE":
-        return float(err.mean())
-    if metric == "MSE":
-        return float((err**2).mean())
-    if metric == "RMSE":
-        return float(np.sqrt((err**2).mean()))
-    if metric == "MAPE":
-        if np.any(y == 0):
-            raise MetricError("MAPE undefined: a truth value is 0")
-        return float((err / np.abs(y)).mean())
-    if metric == "wMAPE":
-        denom = np.abs(y).sum()
-        if denom == 0:
-            raise MetricError("wMAPE undefined: truth values sum to 0 in absolute value")
-        return float(err.sum() / denom)
-    denom = np.abs(y) + np.abs(f)
-    if np.any(denom == 0):
-        raise MetricError("sMAPE undefined: a pair is (0, 0)")
-    return float((err / denom).mean())
+    with np.errstate(all="ignore"):  # overflow is refused below
+        err = np.abs(y - f)
+        if metric == "MAE":
+            value = err.mean()
+        elif metric == "MSE":
+            value = (err**2).mean()
+        elif metric == "RMSE":
+            value = np.sqrt((err**2).mean())
+        elif metric == "MAPE":
+            if np.any(y == 0):
+                raise MetricError("MAPE undefined: a truth value is 0")
+            value = (err / np.abs(y)).mean()
+        elif metric == "wMAPE":
+            denom = np.abs(y).sum()
+            if denom == 0:
+                raise MetricError("wMAPE undefined: truth values sum to 0 in absolute value")
+            value = err.sum() / denom
+        else:
+            denom = np.abs(y) + np.abs(f)
+            if np.any(denom == 0):
+                raise MetricError("sMAPE undefined: a pair is (0, 0)")
+            value = (err / denom).mean()
+    if not np.isfinite(value):
+        raise MetricError(f"{metric} is not finite ({float(value)!r})")
+    return float(value)
 
 
 def generate_random_forest(

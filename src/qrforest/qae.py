@@ -16,10 +16,10 @@ phase register starts uniform, the controlled powers leave the history
 state ``sum_k Q^k|Psi> |k> / sqrt(t)`` (Cleve, Ekert, Macchiavello, Mosca,
 quant-ph/9708016).  The engine therefore simulates only the work register:
 column ``k`` of a ``(2^w, t)`` array holds ``Q^k Psi``, filled by ``t - 1``
-plain applications of Q, and the inverse Fourier transform on the phase
-register is ``np.fft.fft`` along the columns divided by ``t``.  The width
-cap still counts work + phase qubits, since the ``t`` columns hold as many
-amplitudes as the textbook state.
+plain applications of Q (its gates bound to the state once), and the inverse
+Fourier transform on the phase register is ``np.fft.fft`` along the columns
+divided by ``t``.  The width cap still counts work + phase qubits, since the
+``t`` columns hold as many amplitudes as the textbook state.
 
 The outcome distribution is a deterministic function of (forest, input, t)
 and is simulated once per call of ``sample_outcomes``; the repetitions of
@@ -166,11 +166,11 @@ class PhaseEstimation:
         self.t = t
         self.phase = Register("phase", circuit.num_qubits, t.bit_length() - 1)
         sv = StateVector(circuit.num_qubits).apply_all(circuit.gates)
-        iterate = grover_iterate(circuit)
+        iterate = sv.bind(grover_iterate(circuit))
         cols = np.empty((sv.amplitudes.size, t), dtype=np.complex128, order="F")
         cols[:, 0] = sv.amplitudes
         for k in range(1, t):
-            cols[:, k] = sv.apply_all(iterate).amplitudes
+            cols[:, k] = sv.run(iterate).amplitudes
         readout = np.fft.fft(cols, axis=1) / t
         self._distribution = (np.abs(readout) ** 2).sum(axis=0)
         self._cumulative = np.cumsum(self._distribution)
@@ -202,7 +202,8 @@ def estimate_with_boosting(circuit: CompiledCircuit, config: QaeConfig) -> Estim
     """Median of independent runs (sub-seeded from config.seed)."""
     r = config.resolved_repetitions
     outcomes = sample_outcomes(circuit, config.t, config.seed, r)
-    raw = tuple(estimate_of(k, config.t) for k in outcomes)
+    grid = {k: estimate_of(k, config.t) for k in set(outcomes)}  # one float per outcome
+    raw = tuple(grid[k] for k in outcomes)
     beta = sorted(raw)[r // 2]
     return EstimationResult(
         beta_estimate=beta,

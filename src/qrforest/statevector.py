@@ -5,10 +5,11 @@ significant bit of the basis index (so |q0 q1 ... q_{N-1}> reads left to
 right as a binary number).  Gates are applied in place by one view kernel:
 the amplitudes are reshaped to a ``(2,) * N`` array, basic indexing fixes
 the control and target axes, and the gate's 2x2 blocks combine the two
-resulting views (after Häner and Steiger, arXiv:1704.01127).  A state is
-exclusively owned while being mutated.  Dense matrices never appear here --
-``gates.gate_matrix`` is the independent oracle the kernel is tested
-against.
+resulting views (after Häner and Steiger, arXiv:1704.01127).  ``bind`` does
+that setup once per gate and ``run`` only the arithmetic, so a gate list
+applied many times is bound once.  A state is exclusively owned while being
+mutated.  Dense matrices never appear here -- ``gates.gate_matrix`` is the
+independent oracle the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ class Register:
 
 
 class StateVector:
-    """2^N amplitudes, mutated in place by ``apply`` (which returns self)."""
+    """2^N amplitudes, mutated in place by ``apply`` or ``run`` (which return self)."""
 
     def __init__(self, num_qubits: int, amplitudes: np.ndarray | None = None):
         if num_qubits < 1:
@@ -81,52 +82,66 @@ class StateVector:
 
     # -- gate application -------------------------------------------------
 
-    def apply(self, gate: g.Gate) -> "StateVector":
-        """Apply one gate in place.  The amplitudes are viewed as a ``(2,) * n``
-        array, so axis ``q`` is qubit ``q``; fixing the control axes and each
-        value of the target axis gives the two views the 2x2 blocks act on."""
+    def bind(self, gates: Iterable[g.Gate]) -> list[tuple]:
+        """Check the gates, then fix per gate two views of this state's buffer
+        (the amplitudes as a ``(2,) * n`` array, axis ``q`` for qubit ``q``, with
+        the control axes and each target value fixed) and, but for swap, its
+        2x2 block entries broadcast over them.  ``run`` can repeat the steps."""
         n = self.num_qubits
-        for q in list(gate.qubits) + [q for q, _ in gate.controls]:
-            if q >= n:
-                raise ValueError(f"gate touches qubit {q} but state has {n}")
-        if gate.kind not in ("h", "x", "ry", "u", "swap", "ucg", "ucr"):
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
         psi = self._amp.reshape((2,) * n)
-        at: list = [slice(None)] * n
-        for q, v in gate.controls:
-            at[q] = v
-        # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a scalar.
-        if gate.kind == "swap":
-            qa, qb = gate.qubits
-            at[qa], at[qb] = 1, 0
-            v10 = psi[(*at, ...)]
-            at[qa], at[qb] = 0, 1
-            v01 = psi[(*at, ...)]
-            tmp = v01.copy()
-            v01[...] = v10
-            v10[...] = tmp
-            return self
-        selects, target = gate.selects, gate.target
-        at[target] = 0
-        a = psi[(*at, ...)]
-        at[target] = 1
-        b = psi[(*at, ...)]
-        # Block k is indexed by the selects in list order; the views hold them
-        # in qubit order, with a length-1 axis for every other free qubit.
-        order = sorted(range(len(selects)), key=selects.__getitem__)
-        shape = [2 if q in selects else 1 for q in range(n) if type(at[q]) is slice]
-        c = (
-            gate.block_array.reshape((2,) * len(selects) + (2, 2))
-            .transpose(*order, -2, -1)
-            .reshape(*shape, 2, 2)
-        )
-        a[...], b[...] = c[..., 0, 0] * a + c[..., 0, 1] * b, c[..., 1, 0] * a + c[..., 1, 1] * b
+        steps = []
+        for gate in gates:
+            for q in list(gate.qubits) + [q for q, _ in gate.controls]:
+                if q >= n:
+                    raise ValueError(f"gate touches qubit {q} but state has {n}")
+            if gate.kind not in ("h", "x", "ry", "u", "swap", "ucg", "ucr"):
+                raise ValueError(f"unknown gate kind {gate.kind!r}")
+            at: list = [slice(None)] * n
+            for q, v in gate.controls:
+                at[q] = v
+            # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a scalar.
+            if gate.kind == "swap":
+                qa, qb = gate.qubits
+                at[qa], at[qb] = 1, 0
+                v10 = psi[(*at, ...)]
+                at[qa], at[qb] = 0, 1
+                steps.append((v10, psi[(*at, ...)], None))
+                continue
+            selects, target = gate.selects, gate.target
+            at[target] = 0
+            a = psi[(*at, ...)]
+            at[target] = 1
+            b = psi[(*at, ...)]
+            # Block k is indexed by the selects in list order; the views hold
+            # them in qubit order, with a length-1 axis for every other free qubit.
+            order = sorted(range(len(selects)), key=selects.__getitem__)
+            shape = [2 if q in selects else 1 for q in range(n) if type(at[q]) is slice]
+            c = (
+                gate.block_array.reshape((2,) * len(selects) + (2, 2))
+                .transpose(*order, -2, -1)
+                .reshape(*shape, 2, 2)
+            )
+            steps.append((a, b, (c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1])))
+        return steps
+
+    def run(self, steps: Iterable[tuple]) -> "StateVector":
+        """Apply steps from ``bind`` in place: only the arithmetic
+        ``a, b = c00 a + c01 b, c10 a + c11 b``, or the swap exchange."""
+        for a, b, c in steps:
+            if c is None:
+                b[...], a[...] = a, b.copy()  # b is copied before it is overwritten
+            else:
+                c00, c01, c10, c11 = c
+                a[...], b[...] = c00 * a + c01 * b, c10 * a + c11 * b
         return self
 
+    def apply(self, gate: g.Gate) -> "StateVector":
+        """Apply one gate in place."""
+        return self.run(self.bind((gate,)))
+
     def apply_all(self, gate_seq: Iterable[g.Gate]) -> "StateVector":
-        for gate in gate_seq:
-            self.apply(gate)
-        return self
+        """Apply gates in place; all are checked before any is applied."""
+        return self.run(self.bind(gate_seq))
 
     # -- readout -----------------------------------------------------------
 

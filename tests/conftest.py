@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qrforest import gates as g
+from qrforest import qae
 from qrforest.model import (
     Attribute,
     InputObject,
@@ -26,6 +27,26 @@ MIXED_SCHEMA = (
 @pytest.fixture
 def reference():
     return reference_forest(), reference_input()
+
+
+@pytest.fixture
+def shared_engines(monkeypatch):
+    """For one test, memoize ``qae.PhaseEstimation`` by ``(id(circuit), t)``.
+    A statistical test that draws hundreds of seeded estimates from one
+    circuit then simulates its distribution once, while every draw still goes
+    through the real ``estimate_with_boosting`` and ``sample_outcomes``.  The
+    circuit is kept with its engine, so its id cannot be reused."""
+    built = {}
+
+    def engine(circuit, t):
+        key = (id(circuit), t)
+        if key not in built:
+            built[key] = (circuit, real(circuit, t))
+        return built[key][1]
+
+    real = qae.PhaseEstimation
+    monkeypatch.setattr(qae, "PhaseEstimation", engine)
+    return built
 
 
 def random_instance(n, h, seed, schema=MIXED_SCHEMA, value_range=(-1.0, 3.0)):

@@ -50,7 +50,7 @@ def test_criterion_1_exact_amplitude_oracle():
     )
 
 
-def test_criterion_2_single_run_confidence_bound():
+def test_criterion_2_single_run_confidence_bound(shared_engines):
     """>= 76% of 500 seeded single runs land within the confidence radius."""
     forest, x = reference_forest(), reference_input()
     circuit = compile_forest_op(forest, x)
@@ -81,7 +81,7 @@ def test_criterion_3_reference_pair_consistency():
     )
 
 
-def test_criterion_4_median_boosting_failure_rate():
+def test_criterion_4_median_boosting_failure_rate(shared_engines):
     """With delta = 0.1 and the derived odd repetition count, the boosted
     estimate fails its radius on <= 10% of 300 seeded trials."""
     r = repetitions_for_delta(0.1)
@@ -109,7 +109,7 @@ def test_criterion_4_median_boosting_failure_rate():
     )
 
 
-def test_criterion_5_raw_scale_reconstruction():
+def test_criterion_5_raw_scale_reconstruction(shared_engines):
     """The raw-scale error is the normalized error times the label spread on
     every in-bound trial, and the median relative error stays <= 5%."""
     forest, x = reference_forest(), reference_input()

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from qrforest.cli import main
+from qrforest.cli import _emit, main
 from qrforest.compiler import compile_forest_op
 from qrforest.config import MAX_FOREST_SLOTS
 from qrforest.exceptions import ForestFormatError
@@ -333,3 +334,56 @@ def test_metrics_malformed_line(tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("2 1 7\n")
     assert run_cli("metrics", "--pairs", str(pairs)) == 3
+
+
+@pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+def test_metrics_refuses_non_finite_pairs(tmp_path, capsys, bad):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"2 1\n1 {bad}\n")
+    assert run_cli("metrics", "--pairs", str(pairs), "--format", "structured") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{pairs}:2: values must be finite" in captured.err
+
+
+def test_metrics_that_overflow_are_degenerate(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1e200 -1e200\n")
+    assert run_cli("metrics", "--pairs", str(pairs), "--format", "structured") == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["metrics"]["MAE"] == 2e200
+    assert doc["metrics"]["MSE"] is None and doc["metrics"]["RMSE"] is None
+    assert captured.err == ""  # no RuntimeWarning
+    assert run_cli("metrics", "--pairs", str(pairs)) == 0
+    assert "MSE: degenerate" in capsys.readouterr().out
+
+
+def test_forecast_refuses_labels_whose_sums_overflow(tmp_path, capsys):
+    doc = {"n": 1, "h": 1, "schema": [{"kind": "real"}], "trees": [{
+        "nodes": {"1": {"kind": "threshold-greater", "attr": 1, "threshold": 0.5}},
+        "leaves": {"2": -1e308, "3": 1e308},
+    }]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ForestFormatError, match="leaf labels too large"):
+        load_forest(path.read_text())
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.9",
+                   "--mode", "both", "--format", "structured") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaf labels too large" in captured.err
+
+
+def test_generate_refuses_labels_whose_sums_overflow(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run_cli("generate", "-n", "2", "--height", "1", "--attrs", "real",
+                   "--range", "1e307:1.7e308", "--out", str(out)) == 3
+    assert "leaf labels too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_structured_output_refuses_non_finite_numbers():
+    args = argparse.Namespace(format="structured", out=None)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _emit({"value": math.nan}, "", args)

@@ -162,7 +162,7 @@ def test_engine_matches_closed_form_on_random_forests(n, h, t, seed):
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_boosted_success_rate_at_beta_point_three():
+def test_boosted_success_rate_at_beta_point_three(shared_engines):
     forest = two_leaf_forest((0.1, 1.0), (0.5, 0.0))
     x = InputObject.of(0.2)
     assert beta_classical(forest, x) == pytest.approx(0.3)
@@ -187,7 +187,7 @@ def test_empirical_frequencies_follow_distribution(reference):
     assert np.abs(freq - dist).max() < 0.05
 
 
-def test_estimates_live_on_the_grid(reference):
+def test_estimates_live_on_the_grid(reference, shared_engines):
     circuit = compile_forest_op(*reference)
     grid = _grid(32)
     for seed in range(200):
@@ -231,7 +231,7 @@ def test_boosted_median_is_a_raw_estimate(reference):
     assert sorted(result.raw_estimates)[3] == result.beta_estimate
 
 
-def test_single_run_success_rate(reference):
+def test_single_run_success_rate(reference, shared_engines):
     forest, x = reference
     circuit = compile_forest_op(forest, x)
     beta = beta_classical(forest, x)
@@ -243,7 +243,7 @@ def test_single_run_success_rate(reference):
     assert hits / 300 >= 0.76
 
 
-def test_boosting_does_not_hurt(reference):
+def test_boosting_does_not_hurt(reference, shared_engines):
     forest, x = reference
     circuit = compile_forest_op(forest, x)
     beta = beta_classical(forest, x)

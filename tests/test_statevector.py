@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gate_menu, random_statevector
 from qrforest import gates as g
@@ -43,6 +45,37 @@ def test_apply_matches_dense_oracle(n):
             fast = StateVector(n, state).apply(gate).amplitudes
             dense = gate_matrix(gate, n) @ state
             assert np.abs(fast - dense).max() < 1e-10, label
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+)
+def test_bound_steps_run_the_gate_list(n, seed, picks):
+    """``run(bind(gates))`` equals applying the gates one at a time, bit for
+    bit, and the dense product to 1e-12; run twice, the bound steps still act
+    on the live buffer."""
+    rng = np.random.default_rng(seed)
+    menu = gate_menu(n, rng)
+    gates = [menu[i][1] for i in picks]
+    state = random_statevector(n, rng)
+    one_by_one = StateVector(n, state)
+    for gate in gates:
+        one_by_one.apply(gate)
+    sv = StateVector(n, state)
+    steps = sv.bind(gates)
+    assert sv.run(steps) is sv
+    np.testing.assert_array_equal(sv.amplitudes, one_by_one.amplitudes)
+    dense = np.eye(1 << n)
+    for gate in gates:
+        dense = gate_matrix(gate, n) @ dense
+    assert np.abs(sv.amplitudes - dense @ state).max() < 1e-12
+    sv.run(steps)
+    for gate in gates:
+        one_by_one.apply(gate)
+    np.testing.assert_array_equal(sv.amplitudes, one_by_one.amplitudes)
 
 
 def test_self_inverse_gates_square_to_identity():
@@ -167,3 +200,10 @@ def test_apply_gate_returns_same_object():
     sv = StateVector(1)
     assert sv.apply(g.x(0)) is sv
     np.testing.assert_array_equal(sv.amplitudes, [0, 1])
+
+
+def test_apply_all_checks_every_gate_before_applying_any():
+    sv = StateVector(2)
+    with pytest.raises(ValueError, match="qubit 3"):
+        sv.apply_all([g.h(0), g.h(3)])
+    np.testing.assert_array_equal(sv.amplitudes, [1, 0, 0, 0])
