@@ -33,7 +33,7 @@ from .exceptions import DegenerateRangeError, UnsupportedForestError
 from .model import InputObject, RandomForest, branch_outcomes
 from .statevector import Register
 
-_BLOCK_NAMES = {g._ID: "I", g._X: "X", g._Z: "Z", g._NEG_ID: "-I"}
+_BLOCK_NAMES = ((g._ID, "I"), (g._X, "X"), (g._Z, "Z"), (g._NEG_ID, "-I"))
 
 
 def _label_range(forest: RandomForest) -> tuple[float, float]:
@@ -92,11 +92,8 @@ def compile_plus1(level: int, outcomes: np.ndarray, lam: Register, psi: Register
     under lambda."""
     flips = np.zeros(outcomes.shape, dtype=bool)
     flips[:, 1 << level : 2 << level] = outcomes[:, 1 << level : 2 << level]
-    return g.ucg(
-        lam.qubits + psi.qubits[:-1],
-        psi.qubits[-1],
-        [g._X if flip else g._ID for flip in flips.ravel().tolist()],
-    )
+    blocks = np.where(flips.reshape(-1, 1, 1), g._X, g._ID)
+    return g.ucg(lam.qubits + psi.qubits[:-1], psi.qubits[-1], blocks)
 
 
 def _leaf_rotation_gate(angles: np.ndarray, lam: Register, psi: Register, phi: Register) -> g.Gate:
@@ -162,11 +159,16 @@ def grover_iterate(circuit: CompiledCircuit) -> tuple[g.Gate, ...]:
     return build_V(circuit) + build_D(circuit)
 
 
-def _fmt_block(block) -> str:
-    name = _BLOCK_NAMES.get(block)
-    if name is not None:
-        return name
-    return "(" + ";".join(f"{v.real:.6g}{v.imag:+.6g}j" for row in block for v in row) + ")"
+def _fmt_blocks(blocks: np.ndarray) -> str:
+    """The blocks, comma-separated, each by its name in ``_BLOCK_NAMES`` or
+    else by its four entries."""
+    names = np.full(len(blocks), "", dtype=object)
+    for named, name in _BLOCK_NAMES:
+        names[(blocks == named).all(axis=(1, 2))] = name
+    return ",".join(
+        name or "(" + ";".join(f"{v.real:.6g}{v.imag:+.6g}j" for v in block.ravel()) + ")"
+        for name, block in zip(names.tolist(), blocks)
+    )
 
 
 def dump_circuit(circuit: CompiledCircuit) -> str:
@@ -184,17 +186,11 @@ def dump_circuit(circuit: CompiledCircuit) -> str:
     for gate in circuit.gates:
         if gate.kind in ("h", "x"):
             line = f"{gate.kind} q{gate.target}"
-        elif gate.kind == "ry":
-            line = f"ry q{gate.target} {gate.params[0]!r}"
-        elif gate.kind == "u":
-            line = f"u q{gate.target} {_fmt_block(gate.params[0])}"
         elif gate.kind == "swap":
             line = f"swap q{gate.qubits[0]} q{gate.qubits[1]}"
         elif gate.kind == "ucg":
             sel = ",".join(f"q{q}" for q in gate.selects)
-            line = f"ucg selects={sel} target=q{gate.target} blocks=" + ",".join(
-                _fmt_block(b) for b in gate.params[0]
-            )
+            line = f"ucg selects={sel} target=q{gate.target} blocks=" + _fmt_blocks(gate.params[0])
         else:
             sel = ",".join(f"q{q}" for q in gate.selects)
             line = f"ucr selects={sel} target=q{gate.target} angles=" + ",".join(

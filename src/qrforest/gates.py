@@ -1,23 +1,25 @@
 """Gate vocabulary for the simulator.
 
-Kinds: ``h``, ``x``, ``ry`` (angle), ``u`` (explicit one-qubit unitary),
-``swap``, ``ucg`` (uniformly controlled gate: one 2x2 block per select-register
-value) and ``ucr`` (uniformly controlled Ry: one angle per value).  Every gate
-may additionally carry plain controls as ``(qubit, required_value)`` pairs;
-a CNOT is an ``x`` with one 1-valued control.
+Kinds: ``h``, ``x``, ``swap``, ``ucg`` (uniformly controlled gate: one 2x2
+block per select-register value) and ``ucr`` (uniformly controlled Ry: one
+angle per value).  A one-qubit unitary is a ``ucg`` with no selects, and an
+Ry a ``ucr`` with no selects.  Every gate may additionally carry plain
+controls as ``(qubit, required_value)`` pairs; a CNOT is an ``x`` with one
+1-valued control.
 
 Conventions, fixed package-wide:
   * qubit 0 is the most significant bit of a basis index;
   * ucg/ucr select qubits are listed most significant first, so the block
     (angle) index is the integer read off the select qubits in list order.
 
-All parameters are stored as plain tuples (matrices as nested 2x2 tuples),
-so gates are hashable and compare by value; ``inverse(inverse(g)) == g``
-exactly.  For the simulator's view kernel every gate but swap also lowers its
-parameters once, on first use, to a read-only ``(2^s, 2, 2)`` complex array
-(``Gate.block_array``).  ``gate_matrix`` builds the dense unitary by
-per-basis-state index arithmetic from the tuples through ``_block_for``,
-deliberately sharing no code with the lowering or with the view kernel in
+Parameters are held in one form each: ucg blocks as a read-only
+``(2^s, 2, 2)`` complex128 array, copied when the gate is built, and ucr
+angles as a tuple of Python floats.  Gates compare by value (arrays by
+``np.array_equal``), so ``inverse(inverse(g)) == g`` exactly; they are not
+hashable.  For the simulator's view kernel every gate but swap has a
+``Gate.block_array``: the ucg blocks themselves, or one built on first use.
+``gate_matrix`` builds the dense unitary by per-basis-state index arithmetic
+through ``_block_for``, deliberately sharing no code with the view kernel in
 ``statevector`` so the two can check each other.
 """
 from __future__ import annotations
@@ -31,29 +33,33 @@ import numpy as np
 from .config import MAX_DENSE_QUBITS
 from .exceptions import ResourceLimitError
 
-Block = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-_ID: Block = ((1 + 0j, 0j), (0j, 1 + 0j))
-_X: Block = ((0j, 1 + 0j), (1 + 0j, 0j))
-_Z: Block = ((1 + 0j, 0j), (0j, -1 + 0j))
-_NEG_ID: Block = ((-1 + 0j, 0j), (0j, -1 + 0j))
-_H: Block = tuple(tuple(complex(v) / math.sqrt(2) for v in row) for row in ((1, 1), (1, -1)))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _as_blocks(matrices) -> tuple[Block, ...]:  # one array for all, stored as Python complex
-    m = np.asarray(matrices, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (2, 2):
-        raise ValueError("one-qubit unitary must be 2x2")
-    return tuple((tuple(r0), tuple(r1)) for r0, r1 in m.tolist())
+_H = _read_only(np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2))
+_ID = _read_only(np.eye(2, dtype=np.complex128))
+_X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+_Z = _read_only(np.diag(np.array([1, -1], dtype=np.complex128)))
+_NEG_ID = _read_only(-_ID)
 
 
-def _ry_block(angle: float) -> Block:
+def _ry_block(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
     c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return ((complex(c), complex(-s)), (complex(s), complex(c)))
+    return ((c, -s), (s, c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
+    """One gate of kind h, x, swap, ucg or ucr, built by the functions below.
+
+    ``params`` is ``(blocks,)`` for a ucg, the read-only ``(2^s, 2, 2)``
+    array, and ``(angles,)`` for a ucr, a tuple of floats; ``==`` compares
+    kind, qubits, controls and parameters by value.  Gates are not hashable.
+    """
+
     kind: str
     qubits: tuple[int, ...]
     params: tuple = ()
@@ -68,6 +74,15 @@ class Gate:
         if any(v not in (0, 1) for _, v in self.controls):
             raise ValueError("control values must be 0 or 1")
 
+    def __eq__(self, other):
+        if not isinstance(other, Gate):
+            return NotImplemented
+        return (
+            (self.kind, self.qubits, self.controls) == (other.kind, other.qubits, other.controls)
+            and len(self.params) == len(other.params)
+            and all(np.array_equal(a, b) for a, b in zip(self.params, other.params))
+        )
+
     @property
     def target(self) -> int:
         return self.qubits[-1]
@@ -79,25 +94,22 @@ class Gate:
     @cached_property
     def block_array(self) -> np.ndarray:
         """Parameters as a read-only ``(2^s, 2, 2)`` complex array indexed by
-        select value (``s = 0`` for h, x, ry and u); built on first use, then
-        kept."""
+        select value (``s = 0`` for h and x); the ucg blocks themselves, else
+        built on first use, then kept."""
         if self.kind == "h":
-            blocks = np.array([[[1, 1], [1, -1]]], dtype=np.complex128) / math.sqrt(2)
-        elif self.kind == "x":
-            blocks = np.array([[[0, 1], [1, 0]]], dtype=np.complex128)
-        elif self.kind in ("u", "ucg"):
-            blocks = np.array(self.params if self.kind == "u" else self.params[0], dtype=np.complex128)
-        elif self.kind in ("ry", "ucr"):
-            angles = self.params if self.kind == "ry" else self.params[0]
-            half = np.asarray(angles, dtype=np.float64) / 2.0
+            return _H[None]
+        if self.kind == "x":
+            return _X[None]
+        if self.kind == "ucg":
+            return self.params[0]
+        if self.kind == "ucr":
+            half = np.asarray(self.params[0], dtype=np.float64) / 2.0
             blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
             blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(half)
             blocks[:, 1, 0] = np.sin(half)
             blocks[:, 0, 1] = -blocks[:, 1, 0]
-        else:
-            raise ValueError(f"kind {self.kind!r} has no block array")
-        blocks.flags.writeable = False
-        return blocks
+            return _read_only(blocks)
+        raise ValueError(f"kind {self.kind!r} has no block array")
 
 
 def h(q: int) -> Gate:
@@ -109,15 +121,15 @@ def x(q: int) -> Gate:
 
 
 def ry(q: int, angle: float) -> Gate:
-    return Gate("ry", (q,), (float(angle),))
+    return ucr((), q, (angle,))
 
 
 def one_qubit(q: int, matrix) -> Gate:
-    return Gate("u", (q,), _as_blocks([matrix]))
+    return ucg((), q, [matrix])
 
 
 def pauli_z(q: int) -> Gate:
-    return Gate("u", (q,), (_Z,))
+    return ucg((), q, [_Z])
 
 
 def cnot(control_qubit: int, target_qubit: int) -> Gate:
@@ -131,10 +143,12 @@ def swap(a: int, b: int) -> Gate:
 
 
 def ucg(selects: tuple[int, ...], target: int, blocks) -> Gate:
-    blocks = np.asarray(blocks, dtype=complex)
+    blocks = np.array(blocks, dtype=np.complex128)  # a copy, made read-only below
+    if blocks.ndim != 3 or blocks.shape[1:] != (2, 2):
+        raise ValueError("one-qubit unitary must be 2x2")
     if len(blocks) != 2 ** len(selects):
         raise ValueError(f"ucg over {len(selects)} selects needs {2**len(selects)} blocks, got {len(blocks)}")
-    return Gate("ucg", (*selects, target), (_as_blocks(blocks),))
+    return Gate("ucg", (*selects, target), (_read_only(blocks),))
 
 
 def ucr(selects: tuple[int, ...], target: int, angles) -> Gate:
@@ -148,10 +162,8 @@ def reflection_about_zero(qubits: tuple[int, ...]) -> Gate:
     """The reflection 2|0..0><0..0| - I on the given qubits (as one ucg)."""
     if not qubits:
         raise ValueError("reflection needs at least one qubit")
-    if len(qubits) == 1:
-        return Gate("u", qubits, (_Z,))
-    n_blocks = 2 ** (len(qubits) - 1)
-    return ucg(tuple(qubits[:-1]), qubits[-1], (_Z,) + (_NEG_ID,) * (n_blocks - 1))
+    rest = np.broadcast_to(_NEG_ID, (2 ** (len(qubits) - 1) - 1, 2, 2))
+    return ucg(tuple(qubits[:-1]), qubits[-1], np.concatenate((_Z[None], rest)))
 
 
 def swap_as_cnots(a: int, b: int) -> list[Gate]:
@@ -162,38 +174,23 @@ def swap_as_cnots(a: int, b: int) -> list[Gate]:
 
 
 def inverse(gate: Gate) -> Gate:
-    """Inverse gate: Ry negates its angle, ucg/ucr invert blockwise, the
-    rest are self-inverse (u conjugate-transposes)."""
-    if gate.kind == "ry":
-        return Gate("ry", gate.qubits, (-gate.params[0],), gate.controls)
-    if gate.kind == "u":
-        (b,) = gate.params
-        return Gate("u", gate.qubits, (_dagger(b),), gate.controls)
+    """Inverse gate: ucg conjugate-transposes each block, ucr negates its
+    angles, the rest are self-inverse."""
     if gate.kind == "ucg":
         (blocks,) = gate.params
-        return Gate("ucg", gate.qubits, (tuple(_dagger(b) for b in blocks),), gate.controls)
+        dagger = np.conjugate(blocks.swapaxes(1, 2), order="C")
+        return Gate("ucg", gate.qubits, (_read_only(dagger),), gate.controls)
     if gate.kind == "ucr":
         (angles,) = gate.params
         return Gate("ucr", gate.qubits, (tuple(-a for a in angles),), gate.controls)
     return gate  # h, x, swap (and cnot as controlled x) are involutions
 
 
-def _dagger(b: Block) -> Block:
-    return (
-        (b[0][0].conjugate(), b[1][0].conjugate()),
-        (b[0][1].conjugate(), b[1][1].conjugate()),
-    )
-
-
-def _block_for(gate: Gate, select_value: int = 0) -> Block:
+def _block_for(gate: Gate, select_value: int):
     if gate.kind == "h":
         return _H
     if gate.kind == "x":
         return _X
-    if gate.kind == "ry":
-        return _ry_block(gate.params[0])
-    if gate.kind == "u":
-        return gate.params[0]
     if gate.kind == "ucg":
         return gate.params[0][select_value]
     if gate.kind == "ucr":
@@ -230,14 +227,10 @@ def gate_matrix(gate: Gate, num_qubits: int | None = None) -> np.ndarray:
             else:
                 m[i ^ (1 << (num_qubits - 1 - a)) ^ (1 << (num_qubits - 1 - b)), i] = 1.0
             continue
-        if gate.kind in ("ucg", "ucr"):
-            selects = gate.selects
-            k = 0
-            for q in selects:
-                k = (k << 1) | bit(i, q)
-            block = _block_for(gate, k)
-        else:
-            block = _block_for(gate)
+        k = 0
+        for q in gate.selects:
+            k = (k << 1) | bit(i, q)
+        block = _block_for(gate, k)
         t = gate.target
         tmask = 1 << (num_qubits - 1 - t)
         b = bit(i, t)

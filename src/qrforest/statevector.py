@@ -94,7 +94,7 @@ class StateVector:
             for q in list(gate.qubits) + [q for q, _ in gate.controls]:
                 if q >= n:
                     raise ValueError(f"gate touches qubit {q} but state has {n}")
-            if gate.kind not in ("h", "x", "ry", "u", "swap", "ucg", "ucr"):
+            if gate.kind not in ("h", "x", "swap", "ucg", "ucr"):
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
             at: list = [slice(None)] * n
             for q, v in gate.controls:

@@ -133,8 +133,8 @@ def controlled(gate, qubit, value=1):
     """
     if gate.kind == "ucg":
         (blocks,) = gate.params
-        pad = (g._ID,) * len(blocks)
-        new = blocks + pad if value == 0 else pad + blocks
+        pad = np.broadcast_to(g._ID, blocks.shape)
+        new = np.concatenate((blocks, pad) if value == 0 else (pad, blocks))
         return g.ucg((qubit, *gate.selects), gate.target, new)
     if gate.kind == "ucr":
         (angles,) = gate.params

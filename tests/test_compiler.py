@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -249,7 +250,7 @@ def test_walk_stage_structure_matches_height():
         (blocks,) = gate.params
         for value, block in enumerate(blocks):
             parent = value % (1 << h)  # low bits select the node index
-            if block == g._X:
+            if np.array_equal(block, g._X):
                 assert 2**level <= parent < 2 ** (level + 1)
     assert sum(gate.kind == "ucr" for gate in circuit.gates) == 1
 
@@ -343,6 +344,22 @@ def test_D_and_V_are_hermitian_unitaries():
 def test_grover_iterate_is_V_then_D(reference):
     circuit = compile_forest_op(*reference)
     assert grover_iterate(circuit) == build_V(circuit) + build_D(circuit)
+
+
+def test_compile_memory_is_bounded():
+    # n = 1, h = 12: 12 walk ucgs of 2^12 blocks, each held by U and U^-1
+    # as one complex128 array, are 6 MiB (7.5 MiB traced at the peak).
+    # Blocks held as Python objects would need several times that.
+    forest = generate_random_forest(1, 12, MIXED_SCHEMA, (0.0, 1.0), 12)
+    x = generate_random_input(MIXED_SCHEMA, 12)
+    tracemalloc.start()
+    try:
+        q = grover_iterate(compile_forest_op(forest, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(q) == 2 * (1 + 12 * 13 + 1) + 2
+    assert peak < 12 << 20
 
 
 def test_dump_circuit_text(reference):

@@ -40,6 +40,7 @@ def test_ry_matrix():
         [[math.cos(xi / 2), -math.sin(xi / 2)], [math.sin(xi / 2), math.cos(xi / 2)]]
     )
     np.testing.assert_allclose(m, expected, atol=1e-15)
+    assert g.ry(0, xi) == g.ucr((), 0, [xi])  # an Ry is a ucr with no selects
 
 
 def test_all_gate_kinds_are_unitary():
@@ -103,11 +104,30 @@ def test_block_array_is_lowered_once_and_read_only(kind):
     assert arr.shape == (blocks, 2, 2) and arr.dtype == np.complex128
     assert gate.block_array is arr
     assert not arr.flags.writeable
+    if gate.kind == "ucg":  # "u" too: a ucg's blocks are its block array
+        assert arr is gate.params[0]
     m = gate_matrix(gate, gate.target + 1)
     for k in range(blocks):
         np.testing.assert_allclose(arr[k], m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], atol=1e-15)
     with pytest.raises(ValueError):
         g.swap(0, 1).block_array
+
+
+def test_parameters_are_copied_and_compared_by_value():
+    rng = np.random.default_rng(9)
+    blocks = np.array([random_unitary_2x2(rng) for _ in range(4)])
+    u = random_unitary_2x2(rng)
+    gate, single = g.ucg((0, 1), 2, blocks), g.one_qubit(0, u)
+    held = gate.params[0].copy()
+    blocks[1, 0, 0] += 1.0
+    u[0, 1] = 0.0
+    assert np.array_equal(gate.params[0], held) and not gate.params[0].flags.writeable
+    assert not single.params[0].flags.writeable and not np.array_equal(single.params[0][0], u)
+    assert gate == g.ucg((0, 1), 2, list(held))
+    assert gate != g.ucg((0, 1), 2, blocks)  # one entry differs
+    assert gate != g.ucg((1, 0), 2, held) and gate != g.ucr((0, 1), 2, [0.0] * 4)
+    with pytest.raises(TypeError):
+        hash(gate)
 
 
 def test_block_and_angle_counts_validated():
@@ -189,6 +209,7 @@ def test_controlled_plain_gate_matches_projector_sum():
     np.testing.assert_allclose(m, np.kron(p0, np.eye(2)) + np.kron(p1, u), atol=0)
     m0 = gate_matrix(controlled(g.one_qubit(1, u), 0, value=0), 2)
     np.testing.assert_allclose(m0, np.kron(p0, u) + np.kron(p1, np.eye(2)), atol=0)
+    assert g.one_qubit(1, u) == g.ucg((), 1, [u])  # a one-qubit unitary is a ucg with no selects
 
 
 def test_gate_matrix_qubit_cap():
