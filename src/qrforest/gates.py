@@ -174,11 +174,14 @@ def swap_as_cnots(a: int, b: int) -> list[Gate]:
 
 
 def inverse(gate: Gate) -> Gate:
-    """Inverse gate: ucg conjugate-transposes each block, ucr negates its
-    angles, the rest are self-inverse."""
+    """Inverse gate: ucg conjugate-transposes each block (and is returned
+    itself when that changes no block, as for X/I and Z/-I blocks), ucr
+    negates its angles, the rest are self-inverse."""
     if gate.kind == "ucg":
         (blocks,) = gate.params
         dagger = np.conjugate(blocks.swapaxes(1, 2), order="C")
+        if np.array_equal(dagger, blocks):
+            return gate
         return Gate("ucg", gate.qubits, (_read_only(dagger),), gate.controls)
     if gate.kind == "ucr":
         (angles,) = gate.params

@@ -117,7 +117,7 @@ class RandomForest:
         return self.leaf.shape[1].bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputObject:
     """Attribute vector to forecast for."""
 

@@ -68,7 +68,7 @@ def _check_t(t: int) -> None:
         raise ValueError("t must be a power of two >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaeConfig:
     """Estimation parameters.
 

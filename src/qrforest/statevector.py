@@ -7,9 +7,12 @@ the amplitudes are reshaped to a ``(2,) * N`` array, basic indexing fixes
 the control and target axes, and the gate's 2x2 blocks combine the two
 resulting views (after Häner and Steiger, arXiv:1704.01127).  ``bind`` does
 that setup once per gate and ``run`` only the arithmetic, so a gate list
-applied many times is bound once.  A state is exclusively owned while being
-mutated.  Dense matrices never appear here -- ``gates.gate_matrix`` is the
-independent oracle the kernel is tested against.
+applied many times is bound once.  A swap without controls moves no data:
+``bind`` relabels which buffer axis holds each of its qubits, and one reorder
+step at the end of the list, if needed, copies the axes back into qubit
+order.  A state is exclusively owned while being mutated.  Dense matrices
+never appear here -- ``gates.gate_matrix`` is the independent oracle the
+kernel is tested against.
 """
 from __future__ import annotations
 
@@ -21,6 +24,10 @@ import numpy as np
 from . import gates as g
 from .config import ATOL_PROB, ATOL_STATE, MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
+
+# The third entry of ``bind``'s final step when swaps left the qubits on other axes.
+_REORDER = "reorder"
+
 
 @dataclass(frozen=True)
 class Register:
@@ -84,11 +91,16 @@ class StateVector:
 
     def bind(self, gates: Iterable[g.Gate]) -> list[tuple]:
         """Check the gates, then fix per gate two views of this state's buffer
-        (the amplitudes as a ``(2,) * n`` array, axis ``q`` for qubit ``q``, with
-        the control axes and each target value fixed) and, but for swap, its
-        2x2 block entries broadcast over them.  ``run`` can repeat the steps."""
+        (the amplitudes as a ``(2,) * n`` array, with the control axes and each
+        target value fixed) and, but for swap, its 2x2 block entries broadcast
+        over them.  An uncontrolled swap emits no step: it exchanges which
+        buffer axes its two qubits hold, and later gates index the axes their
+        qubits hold then.  If that map is not the identity after the last gate,
+        one reorder step copies the axes back, so every ``run`` of the steps
+        starts and ends with axis ``q`` holding qubit ``q``."""
         n = self.num_qubits
         psi = self._amp.reshape((2,) * n)
+        axis = list(range(n))  # axis[q]: the buffer axis that holds qubit q
         steps = []
         for gate in gates:
             for q in list(gate.qubits) + [q for q, _ in gate.controls]:
@@ -96,40 +108,49 @@ class StateVector:
                     raise ValueError(f"gate touches qubit {q} but state has {n}")
             if gate.kind not in ("h", "x", "swap", "ucg", "ucr"):
                 raise ValueError(f"unknown gate kind {gate.kind!r}")
+            if gate.kind == "swap" and not gate.controls:
+                qa, qb = gate.qubits
+                axis[qa], axis[qb] = axis[qb], axis[qa]
+                continue
             at: list = [slice(None)] * n
             for q, v in gate.controls:
-                at[q] = v
+                at[axis[q]] = v
             # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a scalar.
             if gate.kind == "swap":
-                qa, qb = gate.qubits
+                qa, qb = axis[gate.qubits[0]], axis[gate.qubits[1]]
                 at[qa], at[qb] = 1, 0
                 v10 = psi[(*at, ...)]
                 at[qa], at[qb] = 0, 1
                 steps.append((v10, psi[(*at, ...)], None))
                 continue
-            selects, target = gate.selects, gate.target
+            selects, target = [axis[q] for q in gate.selects], axis[gate.target]
             at[target] = 0
             a = psi[(*at, ...)]
             at[target] = 1
             b = psi[(*at, ...)]
             # Block k is indexed by the selects in list order; the views hold
-            # them in qubit order, with a length-1 axis for every other free qubit.
+            # them in buffer-axis order, with a length-1 axis for every other free axis.
             order = sorted(range(len(selects)), key=selects.__getitem__)
-            shape = [2 if q in selects else 1 for q in range(n) if type(at[q]) is slice]
+            shape = [2 if ax in selects else 1 for ax in range(n) if type(at[ax]) is slice]
             c = (
                 gate.block_array.reshape((2,) * len(selects) + (2, 2))
                 .transpose(*order, -2, -1)
                 .reshape(*shape, 2, 2)
             )
             steps.append((a, b, (c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1])))
+        if axis != list(range(n)):
+            steps.append((psi, psi.transpose(axis), _REORDER))
         return steps
 
     def run(self, steps: Iterable[tuple]) -> "StateVector":
         """Apply steps from ``bind`` in place: only the arithmetic
-        ``a, b = c00 a + c01 b, c10 a + c11 b``, or the swap exchange."""
+        ``a, b = c00 a + c01 b, c10 a + c11 b``, the controlled-swap exchange,
+        or the reorder copy that puts every qubit back on its own axis."""
         for a, b, c in steps:
             if c is None:
                 b[...], a[...] = a, b.copy()  # b is copied before it is overwritten
+            elif c is _REORDER:
+                a[...] = b.copy()  # b is a transposed view of a
             else:
                 c00, c01, c10, c11 = c
                 a[...], b[...] = c00 * a + c01 * b, c10 * a + c11 * b

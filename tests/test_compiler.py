@@ -43,7 +43,7 @@ from qrforest.model import (
     generate_random_input,
     walk_forest,
 )
-from qrforest.statevector import Register, StateVector
+from qrforest.statevector import _REORDER, Register, StateVector
 
 
 def _run(width, gates, basis=0):
@@ -360,6 +360,62 @@ def test_compile_memory_is_bounded():
         tracemalloc.stop()
     assert len(q) == 2 * (1 + 12 * 13 + 1) + 2
     assert peak < 12 << 20
+
+
+def test_iterate_holds_walk_blocks_once():
+    # n = 1, h = 12: U^-1 reuses U's 12 walk ucgs (X/I blocks are their own
+    # inverses), so their 2^12 blocks are 3 MiB once (4.5 MiB traced at the peak).
+    forest = generate_random_forest(1, 12, MIXED_SCHEMA, (0.0, 1.0), 12)
+    x = generate_random_input(MIXED_SCHEMA, 12)
+    tracemalloc.start()
+    try:
+        q = grover_iterate(compile_forest_op(forest, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+    walks = [gate for gate in q if gate.kind == "ucg" and len(gate.selects) == 12]
+    assert len(walks) == 24 and len({id(gate) for gate in walks}) == 12
+
+
+@pytest.mark.parametrize("n,h", [(1, 1), (2, 2), (4, 3), (8, 4), (16, 5)])
+def test_bound_swaps_are_relabels(n, h):
+    """An uncontrolled swap binds to no step; U ends in one reorder step,
+    and Q, whose U^-1 cascades undo U's, needs none."""
+    forest, x = random_instance(n, h, 60 + h)
+    circuit = compile_forest_op(forest, x)
+    q = grover_iterate(circuit)
+    sv = StateVector(circuit.num_qubits)
+    iterate = sv.bind(q)
+    assert len(iterate) == len(q) - sum(gate.kind == "swap" for gate in q)
+    assert all(c is not _REORDER for _, _, c in iterate)
+    if (n, h) == (8, 4):
+        assert (len(q), len(iterate)) == (52, 20)
+    forward = sv.bind(circuit.gates)
+    assert [c is _REORDER for _, _, c in forward] == [False] * (len(forward) - 1) + [True]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_bound_iterate_runs_its_gates_on_documents(data):
+    """Running the bound Q k times equals applying its gates one ``apply``
+    at a time, bit for bit, on circuits with Q's own swap cascades."""
+    doc = data.draw(forest_documents())
+    x = data.draw(document_inputs(doc))
+    forest = load_forest(json.dumps(doc))
+    assume(forest.y_max > forest.y_min)
+    circuit = compile_forest_op(forest, x)
+    q = grover_iterate(circuit)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = random_statevector(circuit.num_qubits, rng)
+    sv = StateVector(circuit.num_qubits, state)
+    one_by_one = StateVector(circuit.num_qubits, state)
+    iterate = sv.bind(q)
+    for _ in range(data.draw(st.integers(1, 3))):
+        sv.run(iterate)
+        for gate in q:
+            one_by_one.apply(gate)
+        np.testing.assert_array_equal(sv.amplitudes, one_by_one.amplitudes)
 
 
 def test_dump_circuit_text(reference):

@@ -172,6 +172,16 @@ def test_self_inverse_gates():
         assert inverse(gate) == gate
 
 
+def test_inverse_of_self_inverse_ucg_is_the_gate():
+    walk = g.ucg((0, 1), 2, [g._X, g._ID, g._ID, g._X])
+    for gate in (walk, reflection_about_zero((0, 1, 2)), g.pauli_z(1)):
+        assert inverse(gate) is gate
+    rng = np.random.default_rng(8)
+    u = g.ucg((0,), 1, [random_unitary_2x2(rng) for _ in range(2)])
+    assert inverse(u) is not u
+    np.testing.assert_array_equal(inverse(u).params[0], np.conj(u.params[0]).swapaxes(1, 2))
+
+
 def test_controlled_folds_ucg_and_ucr():
     rng = np.random.default_rng(7)
     blocks = [random_unitary_2x2(rng) for _ in range(2)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -370,3 +371,20 @@ def test_r_error_is_scaled_beta_error(reference):
         assert abs(result.r_estimate - r_cl) == pytest.approx(
             spread * abs(result.beta_estimate - beta), rel=1e-9
         )
+
+
+def test_value_objects_have_no_dict():
+    x = InputObject.of(1, 2.5)
+    config = QaeConfig(t=16, delta=0.1, target="r", seed=3)
+    for obj, field in ((x, "values"), (config, "seed")):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+    assert x == InputObject((1.0, 2.5)) and hash(x) == hash(InputObject((1.0, 2.5)))
+    assert {x: 1}[InputObject.of(1, 2.5)] == 1
+    moved = dataclasses.replace(config, seed=4)
+    assert (moved.t, moved.delta, moved.target, moved.seed) == (16, 0.1, "r", 4)
+    assert moved != config and dataclasses.replace(moved, seed=3) == config
+    assert hash(dataclasses.replace(moved, seed=3)) == hash(config)
+    with pytest.raises(ValueError, match="not both"):
+        dataclasses.replace(config, repetitions=3)
