@@ -24,7 +24,7 @@ from .exceptions import (
     UnsupportedForestError,
 )
 from .forest_io import load_forest, save_forest
-from .gates import Gate, gate_matrix, swap_as_cnots
+from .gates import Gate
 from .model import (
     Attribute,
     InputObject,
@@ -37,7 +37,6 @@ from .model import (
     error_metric,
     forecast_classical,
     generate_random_forest,
-    generate_random_input,
     walk_forest,
 )
 from .qae import (

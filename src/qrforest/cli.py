@@ -52,12 +52,14 @@ def _parse_attrs(text: str) -> tuple[Attribute, ...]:
         token = token.strip()
         if token == "real":
             out.append(Attribute("real"))
-        elif token.startswith("disc:"):
-            out.append(Attribute("discrete", int(token[5:])))
-        else:
+            continue
+        try:
+            categories = int(token[5:]) if token.startswith("disc:") else 0
+        except ValueError:
+            categories = 0
+        if not 1 <= categories < 2**63:  # generate draws from 1 .. K as int64
             raise QrfError(f"bad attribute token {token!r} (use 'real' or 'disc:K')")
-    if not out:
-        raise QrfError("need at least one attribute")
+        out.append(Attribute("discrete", categories))
     return tuple(out)
 
 
@@ -105,11 +107,12 @@ def _emit(doc: dict, text: str, args) -> None:
     _write_out(json.dumps(doc, indent=2, allow_nan=False) + "\n" if args.format == "structured" else text, args.out)
 
 
-def _comparison_metrics(truth: float, forecast: float) -> dict:
+def _metric_table(pairs: list[PredictionPair], names) -> dict:
+    """Each named metric over the pairs, ``None`` where it is undefined."""
     table = {}
-    for name in METRIC_NAMES:
+    for name in names:
         try:
-            table[name] = error_metric([PredictionPair(truth, forecast)], name)
+            table[name] = error_metric(pairs, name)
         except MetricError:
             table[name] = None
     return table
@@ -195,7 +198,7 @@ def cmd_forecast(args) -> int:
                     pair = (classical_beta, result.beta_estimate)
                 else:
                     pair = (classical_r, result.r_estimate)
-                doc["comparison"] = _comparison_metrics(*pair)
+                doc["comparison"] = _metric_table([PredictionPair(*pair)], METRIC_NAMES)
                 lines.append(
                     "comparison: "
                     + "  ".join(
@@ -301,12 +304,7 @@ def cmd_metrics(args) -> int:
     for name in wanted:
         if name not in METRIC_NAMES:
             raise QrfError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")
-    table = {}
-    for name in wanted:
-        try:
-            table[name] = error_metric(pairs, name)
-        except MetricError:
-            table[name] = None
+    table = _metric_table(pairs, wanted)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "metrics",

@@ -60,7 +60,6 @@ class CompiledCircuit:
     registers: tuple[Register, ...]
     gates: tuple[g.Gate, ...]
     num_qubits: int
-    n_trees: int
     height: int
 
     def register(self, name: str) -> Register:
@@ -131,7 +130,6 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
         registers=(lam, psi, phi),
         gates=tuple(seq),
         num_qubits=num_qubits,
-        n_trees=n,
         height=h,
     )
 

@@ -1,21 +1,10 @@
-"""Central numeric policy: comparison tolerances, simulator limits, RNG.
-
-Tolerances live here so every module checks against the same constants:
-``ATOL_STATE`` for amplitude/norm comparisons, ``ATOL_PROB`` for
-probabilities (probabilities are squared amplitudes, so they tolerate a
-slightly looser bound).
+"""Central numeric policy: simulator and forest limits, RNG.
 
 Randomness policy: every seeded code path builds a ``numpy.random.Generator``
 over PCG64 via ``default_rng(seed)`` (sub-streams via ``SeedSequence.spawn``),
 and all discrete sampling is inverse-CDF on ``Generator.random()``.  That
 keeps sampled streams reproducible across platforms for a fixed seed.
 """
-
-ATOL_STATE = 1e-10
-ATOL_PROB = 1e-9
-
-# Largest register for which a dense matrix may be materialized (test oracle).
-MAX_DENSE_QUBITS = 10
 
 # Hard cap on simulated width; 2^22 complex amplitudes is 64 MiB.
 MAX_SIM_QUBITS = 22

@@ -18,9 +18,8 @@ angles as a tuple of Python floats.  Gates compare by value (arrays by
 ``np.array_equal``), so ``inverse(inverse(g)) == g`` exactly; they are not
 hashable.  For the simulator's view kernel every gate but swap has a
 ``Gate.block_array``: the ucg blocks themselves, or one built on first use.
-``gate_matrix`` builds the dense unitary by per-basis-state index arithmetic
-through ``_block_for``, deliberately sharing no code with the view kernel in
-``statevector`` so the two can check each other.
+The dense-matrix oracle the kernel is checked against lives with the tests,
+so the two share no code.
 """
 from __future__ import annotations
 
@@ -29,9 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .config import MAX_DENSE_QUBITS
-from .exceptions import ResourceLimitError
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -44,11 +40,6 @@ _ID = _read_only(np.eye(2, dtype=np.complex128))
 _X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 _Z = _read_only(np.diag(np.array([1, -1], dtype=np.complex128)))
 _NEG_ID = _read_only(-_ID)
-
-
-def _ry_block(angle: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    c, s = math.cos(angle / 2), math.sin(angle / 2)
-    return ((c, -s), (s, c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +157,6 @@ def reflection_about_zero(qubits: tuple[int, ...]) -> Gate:
     return ucg(tuple(qubits[:-1]), qubits[-1], np.concatenate((_Z[None], rest)))
 
 
-def swap_as_cnots(a: int, b: int) -> list[Gate]:
-    """SWAP(a, b) as its standard 3-CNOT expansion."""
-    if a == b:
-        raise ValueError("swap needs two distinct qubits")
-    return [cnot(a, b), cnot(b, a), cnot(a, b)]
-
-
 def inverse(gate: Gate) -> Gate:
     """Inverse gate: ucg conjugate-transposes each block (and is returned
     itself when that changes no block, as for X/I and Z/-I blocks), ucr
@@ -188,55 +172,3 @@ def inverse(gate: Gate) -> Gate:
         return Gate("ucr", gate.qubits, (tuple(-a for a in angles),), gate.controls)
     return gate  # h, x, swap (and cnot as controlled x) are involutions
 
-
-def _block_for(gate: Gate, select_value: int):
-    if gate.kind == "h":
-        return _H
-    if gate.kind == "x":
-        return _X
-    if gate.kind == "ucg":
-        return gate.params[0][select_value]
-    if gate.kind == "ucr":
-        return _ry_block(gate.params[0][select_value])
-    raise ValueError(f"no block form for kind {gate.kind!r}")
-
-
-def gate_matrix(gate: Gate, num_qubits: int | None = None) -> np.ndarray:
-    """Dense unitary of the gate on ``num_qubits`` qubits (test oracle).
-
-    Built column by column from the gate's definition using only index
-    arithmetic; independent of the simulator's view kernel.
-    """
-    if num_qubits is None:
-        num_qubits = max(list(gate.qubits) + [q for q, _ in gate.controls]) + 1
-    if num_qubits > MAX_DENSE_QUBITS:
-        raise ResourceLimitError(f"dense matrix capped at {MAX_DENSE_QUBITS} qubits")
-    if any(q >= num_qubits for q in gate.qubits) or any(q >= num_qubits for q, _ in gate.controls):
-        raise ValueError("gate references a qubit outside the register")
-
-    def bit(i: int, q: int) -> int:
-        return (i >> (num_qubits - 1 - q)) & 1
-
-    dim = 1 << num_qubits
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        if any(bit(i, q) != v for q, v in gate.controls):
-            m[i, i] = 1.0
-            continue
-        if gate.kind == "swap":
-            a, b = gate.qubits
-            if bit(i, a) == bit(i, b):
-                m[i, i] = 1.0
-            else:
-                m[i ^ (1 << (num_qubits - 1 - a)) ^ (1 << (num_qubits - 1 - b)), i] = 1.0
-            continue
-        k = 0
-        for q in gate.selects:
-            k = (k << 1) | bit(i, q)
-        block = _block_for(gate, k)
-        t = gate.target
-        tmask = 1 << (num_qubits - 1 - t)
-        b = bit(i, t)
-        m[i & ~tmask, i] += block[0][b]
-        m[i | tmask, i] += block[1][b]
-    return m

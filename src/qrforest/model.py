@@ -264,15 +264,3 @@ def generate_random_forest(
                 threshold[i, j] = rng.integers(1, schema[a].categories + 1)
         leaf[i] = lo + (hi - lo) * rng.random(2**h)
     return RandomForest(tuple(schema), kind, attribute, threshold, leaf)
-
-
-def generate_random_input(schema: tuple[Attribute, ...], seed: int) -> InputObject:
-    """Random input conforming to the schema (reals in [0, 1))."""
-    rng = np.random.default_rng(seed)
-    values = []
-    for attr in schema:
-        if attr.kind == "real":
-            values.append(float(rng.random()))
-        else:
-            values.append(float(rng.integers(1, attr.categories + 1)))
-    return InputObject(tuple(values))

@@ -42,7 +42,7 @@ from .compiler import CompiledCircuit, check_compilable, compile_forest_op, grov
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 from .model import InputObject, RandomForest, beta_to_R
-from .statevector import Register, StateVector
+from .statevector import StateVector
 
 # Median-boost repetition count: with single-run failure <= 1 - 8/pi^2 < 0.19,
 # Hoeffding needs r >= 5.2 ln(1/delta) for the median to fail with
@@ -156,15 +156,13 @@ class PhaseEstimation:
     Built from the history state: column ``k`` of a ``(2^w, t)`` array is
     ``Q^k Psi`` on the ``w``-qubit work register, and ``fft(cols) / t``
     along the phase axis is the inverse-QFT output, so the distribution is
-    its squared modulus summed over the work register.  Only ``t``,
-    the ``phase`` register (laid out after the work qubits) and the
+    its squared modulus summed over the work register.  Only ``t`` and the
     distribution are kept; the circuit is not.
     """
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
         self.t = t
-        self.phase = Register("phase", circuit.num_qubits, t.bit_length() - 1)
         sv = StateVector(circuit.num_qubits).apply_all(circuit.gates)
         iterate = sv.bind(grover_iterate(circuit))
         cols = np.empty((sv.amplitudes.size, t), dtype=np.complex128, order="F")

@@ -11,18 +11,18 @@ applied many times is bound once.  A swap without controls moves no data:
 ``bind`` relabels which buffer axis holds each of its qubits, and one reorder
 step at the end of the list, if needed, copies the axes back into qubit
 order.  A state is exclusively owned while being mutated.  Dense matrices
-never appear here -- ``gates.gate_matrix`` is the independent oracle the
-kernel is tested against.
+never appear here; the dense oracle the kernel is tested against, and the
+readout helpers only tests need, live with the tests.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import gates as g
-from .config import ATOL_PROB, ATOL_STATE, MAX_SIM_QUBITS
+from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 
 # The third entry of ``bind``'s final step when swaps left the qubits on other axes.
@@ -66,28 +66,9 @@ class StateVector:
                 raise ValueError(f"expected {1 << num_qubits} amplitudes, got {arr.shape}")
             self._amp = arr
 
-    @classmethod
-    def basis(cls, num_qubits: int, index: int) -> "StateVector":
-        sv = cls(num_qubits)
-        sv._amp[0] = 0.0
-        sv._amp[index] = 1.0
-        return sv
-
     @property
     def amplitudes(self) -> np.ndarray:
         return self._amp
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self._amp)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amp))
-
-    def check_norm(self, atol: float = ATOL_STATE) -> None:
-        if abs(self.norm() - 1.0) > atol:
-            raise ValueError(f"state norm drifted to {self.norm()!r}")
-
-    # -- gate application -------------------------------------------------
 
     def bind(self, gates: Iterable[g.Gate]) -> list[tuple]:
         """Check the gates, then fix per gate two views of this state's buffer
@@ -163,30 +144,3 @@ class StateVector:
     def apply_all(self, gate_seq: Iterable[g.Gate]) -> "StateVector":
         """Apply gates in place; all are checked before any is applied."""
         return self.run(self.bind(gate_seq))
-
-    # -- readout -----------------------------------------------------------
-
-    def probability(self, qubits: Sequence[int], value: int) -> float:
-        """Exact marginal probability that the listed qubits (most significant
-        first) read out as ``value``.  No state change."""
-        qubits = tuple(qubits)
-        if not 0 <= value < (1 << len(qubits)):
-            raise ValueError(f"value {value} out of range for {len(qubits)} qubits")
-        at: list = [slice(None)] * self.num_qubits
-        for pos, q in enumerate(qubits):
-            at[q] = (value >> (len(qubits) - 1 - pos)) & 1
-        view = self._amp.reshape((2,) * self.num_qubits)[(*at, ...)]
-        return float(np.sum(np.abs(view) ** 2))
-
-    def sample(self, rng: np.random.Generator | int | None) -> int:
-        """Draw one basis index from |a_j|^2 (inverse CDF on rng.random())."""
-        probs = np.abs(self._amp) ** 2
-        total = probs.sum()
-        if abs(total - 1.0) > ATOL_PROB:
-            raise ValueError(f"cannot sample an unnormalized state (sum p = {total!r})")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        cum = np.cumsum(probs)
-        k = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        return min(k, self._amp.size - 1)
-

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,14 +8,10 @@ from hypothesis import strategies as st
 
 from qrforest import gates as g
 from qrforest import qae
-from qrforest.model import (
-    Attribute,
-    InputObject,
-    RandomForest,
-    generate_random_forest,
-    generate_random_input,
-)
+from qrforest.exceptions import ResourceLimitError
+from qrforest.model import Attribute, InputObject, RandomForest, generate_random_forest
 from qrforest.reference import reference_forest, reference_input
+from qrforest.statevector import StateVector
 
 MIXED_SCHEMA = (
     Attribute("real"),
@@ -47,6 +44,14 @@ def shared_engines(monkeypatch):
     real = qae.PhaseEstimation
     monkeypatch.setattr(qae, "PhaseEstimation", engine)
     return built
+
+
+def generate_random_input(schema, seed):
+    """Random input conforming to the schema (reals in [0, 1))."""
+    rng = np.random.default_rng(seed)
+    return InputObject(tuple(
+        float(rng.random()) if a.kind == "real" else float(rng.integers(1, a.categories + 1)) for a in schema
+    ))
 
 
 def random_instance(n, h, seed, schema=MIXED_SCHEMA, value_range=(-1.0, 3.0)):
@@ -121,6 +126,105 @@ def gate_menu(num_qubits, rng):
         ("mixed-controlled-x", g.Gate("x", (xt,), controls=((x0, 0), (x1, 1)))),
     ]
     return menu
+
+
+def basis_state(num_qubits, index):
+    """The basis state ``|index>`` on ``num_qubits`` qubits."""
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def probability(sv, qubits, value):
+    """Exact marginal probability that the listed qubits (most significant
+    first) of ``sv`` read out as ``value``.  No state change."""
+    qubits = tuple(qubits)
+    if not 0 <= value < (1 << len(qubits)):
+        raise ValueError(f"value {value} out of range for {len(qubits)} qubits")
+    at = [slice(None)] * sv.num_qubits
+    for pos, q in enumerate(qubits):
+        at[q] = (value >> (len(qubits) - 1 - pos)) & 1
+    view = sv.amplitudes.reshape((2,) * sv.num_qubits)[(*at, ...)]
+    return float(np.sum(np.abs(view) ** 2))
+
+
+def norm(sv):
+    return float(np.linalg.norm(sv.amplitudes))
+
+
+def check_norm(sv, atol=1e-10):
+    if abs(norm(sv) - 1.0) > atol:
+        raise ValueError(f"state norm drifted to {norm(sv)!r}")
+
+
+# Largest register for which the dense oracle builds a matrix.
+MAX_DENSE_QUBITS = 10
+
+_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_X = np.array([[0, 1], [1, 0]])
+
+
+def _ry_block(angle):
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    return ((c, -s), (s, c))
+
+
+def _block_for(gate, select_value):
+    if gate.kind == "h":
+        return _H
+    if gate.kind == "x":
+        return _X
+    if gate.kind == "ucg":
+        return gate.params[0][select_value]
+    if gate.kind == "ucr":
+        return _ry_block(gate.params[0][select_value])
+    raise ValueError(f"no block form for kind {gate.kind!r}")
+
+
+def gate_matrix(gate, num_qubits=None):
+    """Dense unitary of the gate on ``num_qubits`` qubits, the oracle the
+    simulator's view kernel is tested against: built column by column from
+    the gate's definition using only index arithmetic."""
+    if num_qubits is None:
+        num_qubits = max(list(gate.qubits) + [q for q, _ in gate.controls]) + 1
+    if num_qubits > MAX_DENSE_QUBITS:
+        raise ResourceLimitError(f"dense matrix capped at {MAX_DENSE_QUBITS} qubits")
+    if any(q >= num_qubits for q in gate.qubits) or any(q >= num_qubits for q, _ in gate.controls):
+        raise ValueError("gate references a qubit outside the register")
+
+    def bit(i, q):
+        return (i >> (num_qubits - 1 - q)) & 1
+
+    dim = 1 << num_qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        if any(bit(i, q) != v for q, v in gate.controls):
+            m[i, i] = 1.0
+            continue
+        if gate.kind == "swap":
+            a, b = gate.qubits
+            if bit(i, a) == bit(i, b):
+                m[i, i] = 1.0
+            else:
+                m[i ^ (1 << (num_qubits - 1 - a)) ^ (1 << (num_qubits - 1 - b)), i] = 1.0
+            continue
+        k = 0
+        for q in gate.selects:
+            k = (k << 1) | bit(i, q)
+        block = _block_for(gate, k)
+        t = gate.target
+        tmask = 1 << (num_qubits - 1 - t)
+        b = bit(i, t)
+        m[i & ~tmask, i] += block[0][b]
+        m[i | tmask, i] += block[1][b]
+    return m
+
+
+def swap_as_cnots(a, b):
+    """SWAP(a, b) as its standard 3-CNOT expansion."""
+    if a == b:
+        raise ValueError("swap needs two distinct qubits")
+    return [g.cnot(a, b), g.cnot(b, a), g.cnot(a, b)]
 
 
 def controlled(gate, qubit, value=1):
@@ -206,18 +310,3 @@ def document_inputs(draw, doc):
         for a in doc["schema"]
     ))
 
-
-__all__ = [
-    "MIXED_SCHEMA",
-    "random_instance",
-    "two_leaf_forest",
-    "controlled",
-    "forest_documents",
-    "document_inputs",
-    "random_statevector",
-    "mean_forecast_oracle",
-    "recursive_walk_oracle",
-    "reference_forest",
-    "reference_input",
-    "InputObject",
-]

@@ -10,10 +10,10 @@ import time
 
 import numpy as np
 
-from conftest import gate_menu, random_instance, random_statevector
+from conftest import gate_matrix, gate_menu, norm, probability, random_instance, random_statevector
+from conftest import swap_as_cnots
 from qrforest import gates as g
 from qrforest.compiler import build_D, build_V, compile_forest_op, compile_inverse
-from qrforest.gates import gate_matrix, swap_as_cnots
 from qrforest.model import beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     QaeConfig,
@@ -38,7 +38,7 @@ def test_criterion_1_exact_amplitude_oracle():
         seed += 1
         circuit = compile_forest_op(forest, x)
         state = StateVector(circuit.num_qubits).apply_all(circuit.gates)
-        p = state.probability(circuit.register("phi").qubits, 1)
+        p = probability(state, circuit.register("phi").qubits, 1)
         worst = max(worst, abs(p - beta_classical(forest, x)))
         assert abs(p - beta_classical(forest, x)) < 1e-9
         count += 1
@@ -174,7 +174,7 @@ def test_criterion_6_simulator_correctness_suite():
         if i % 100 == 0:
             menu = gate_menu(6, rng)
         sv.apply(menu[int(rng.integers(0, len(menu)))][1])
-    drift = abs(sv.norm() - 1.0)
+    drift = abs(norm(sv) - 1.0)
     assert drift < 1e-10
     print(f"\nACCEPTANCE 6: PASS - kernels match dense oracles; norm drift {drift:.2e} after 10^4 gates")
 

@@ -76,6 +76,15 @@ def test_generate_accepts_a_spaced_negative_range(tmp_path):
     assert load_forest(spaced.read_text()).y_min >= -2.0
 
 
+@pytest.mark.parametrize("token", ["disc:x", "disc:", "disc:99999999999999999999"])
+def test_generate_names_a_bad_category_count(tmp_path, capsys, token):
+    out = tmp_path / "f.json"
+    assert run_cli("generate", "-n", "1", "--height", "1", "--attrs", f"real,{token}",
+                   "--out", str(out)) == 3
+    assert f"bad attribute token {token!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["-n", "4", "--height", "3", "--range=-1:3", "--seed", "11"],
      "79e1f3e1f05bd82fddf56959ce7d4361886a00c92856101e5cbba670abfdf557"),

@@ -11,9 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     MIXED_SCHEMA,
+    basis_state,
+    check_norm,
     document_inputs,
     forest_documents,
+    gate_matrix,
     gate_menu,
+    generate_random_input,
+    probability,
     random_instance,
     random_statevector,
     recursive_walk_oracle,
@@ -34,26 +39,24 @@ from qrforest.compiler import (
 )
 from qrforest.exceptions import DegenerateRangeError, UnsupportedForestError
 from qrforest.forest_io import load_forest, save_forest
-from qrforest.gates import gate_matrix
 from qrforest.model import (
     InputObject,
     beta_classical,
     branch_outcomes,
     generate_random_forest,
-    generate_random_input,
     walk_forest,
 )
 from qrforest.statevector import _REORDER, Register, StateVector
 
 
 def _run(width, gates, basis=0):
-    return StateVector.basis(width, basis).apply_all(gates)
+    return basis_state(width, basis).apply_all(gates)
 
 
 def test_times2_single_step():
     psi = Register("psi", 0, 2)
     sv = _run(2, compile_times2(psi), basis=0b01)
-    np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b10).amplitudes, atol=0)
+    np.testing.assert_allclose(sv.amplitudes, basis_state(2, 0b10).amplitudes, atol=0)
 
 
 def test_times2_on_three_qubits():
@@ -61,32 +64,32 @@ def test_times2_on_three_qubits():
     m = np.eye(8)
     for gate in compile_times2(psi):
         m = gate_matrix(gate, 3) @ m
-    np.testing.assert_allclose(m[:, 0b011], StateVector.basis(3, 0b110).amplitudes, atol=0)
+    np.testing.assert_allclose(m[:, 0b011], basis_state(3, 0b110).amplitudes, atol=0)
 
 
 @pytest.mark.parametrize("h", (1, 2, 3))
 def test_times2_repeated_matches_integer_shift(h):
     psi = Register("psi", 0, h + 1)
-    sv = StateVector.basis(h + 1, 1)
+    sv = basis_state(h + 1, 1)
     value = 1
     for _ in range(h):
         sv.apply_all(compile_times2(psi))
         value *= 2
-    np.testing.assert_allclose(sv.amplitudes, StateVector.basis(h + 1, value).amplitudes, atol=0)
+    np.testing.assert_allclose(sv.amplitudes, basis_state(h + 1, value).amplitudes, atol=0)
 
 
 def test_plus1_adds_one_when_root_outcome_true():
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, 2)
     gate = compile_plus1(0, np.array([[False, True]]), lam, psi)
     sv = _run(2, [gate], basis=0b10)
-    np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b11).amplitudes, atol=0)
+    np.testing.assert_allclose(sv.amplitudes, basis_state(2, 0b11).amplitudes, atol=0)
 
 
 def test_plus1_leaves_value_when_root_outcome_false():
     lam, psi = Register("lambda", 0, 0), Register("psi", 0, 2)
     gate = compile_plus1(0, np.array([[True, False]]), lam, psi)
     sv = _run(2, [gate], basis=0b10)
-    np.testing.assert_allclose(sv.amplitudes, StateVector.basis(2, 0b10).amplitudes, atol=0)
+    np.testing.assert_allclose(sv.amplitudes, basis_state(2, 0b10).amplitudes, atol=0)
 
 
 def test_plus1_tracks_outcomes_over_superposed_nodes():
@@ -99,7 +102,7 @@ def test_plus1_tracks_outcomes_over_superposed_nodes():
         sv = _run(h + 1, [gate], basis=2 * parent)
         expected = 2 * parent + (1 if outcomes[0, parent] else 0)
         np.testing.assert_allclose(
-            sv.amplitudes, StateVector.basis(h + 1, expected).amplitudes, atol=1e-15
+            sv.amplitudes, basis_state(h + 1, expected).amplitudes, atol=1e-15
         )
 
 
@@ -143,29 +146,29 @@ def test_tree_op_walks_and_rotates_h1():
         sv = _run(3, _tree_op(forest, x), basis=0b010)  # psi=|1>, phi=|0>
         assert walk_forest(forest, x).tolist() == [leaf]
         s2 = (forest.leaf[0, leaf - 2] - 2.0) / 4.0
-        assert sv.probability((0, 1), leaf) == pytest.approx(1.0, abs=1e-12)
-        assert sv.probability((2,), 1) == pytest.approx(s2, abs=1e-12)
+        assert probability(sv, (0, 1), leaf) == pytest.approx(1.0, abs=1e-12)
+        assert probability(sv, (2,), 1) == pytest.approx(s2, abs=1e-12)
 
 
 def test_tree_op_min_label_keeps_phi_zero():
     forest = two_leaf_forest((2.0, 6.0))
     x = InputObject.of(0.2)  # walks to the y_min leaf
     sv = _run(3, _tree_op(forest, x), basis=0b010)
-    assert sv.probability((2,), 1) == 0.0
+    assert probability(sv, (2,), 1) == 0.0
 
 
 def test_tree_op_max_label_flips_phi():
     forest = two_leaf_forest((2.0, 6.0))
     x = InputObject.of(0.9)  # walks to the y_max leaf
     sv = _run(3, _tree_op(forest, x), basis=0b010)
-    assert sv.probability((2,), 1) == pytest.approx(1.0, abs=1e-12)
+    assert probability(sv, (2,), 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_forest_op_phi_probability_is_beta(reference):
     forest, x = reference
     circuit = compile_forest_op(forest, x)
     sv = _run(circuit.num_qubits, circuit.gates)
-    p = sv.probability(circuit.register("phi").qubits, 1)
+    p = probability(sv, circuit.register("phi").qubits, 1)
     assert p == pytest.approx(beta_classical(forest, x), abs=1e-12)
 
 
@@ -178,7 +181,7 @@ def test_forest_op_phi_probability_is_beta_on_documents(data):
     assume(forest.y_max > forest.y_min)
     circuit = compile_forest_op(forest, x)
     sv = _run(circuit.num_qubits, circuit.gates)
-    p = sv.probability(circuit.register("phi").qubits, 1)
+    p = probability(sv, circuit.register("phi").qubits, 1)
     assert p == pytest.approx(beta_classical(forest, x), abs=1e-9)
     # and beta itself agrees with descent of the document
     labels = [y for _, y in recursive_walk_oracle(json.dumps(doc), x)]
@@ -196,8 +199,8 @@ def test_forest_op_randomized_oracle(n, h):
         circuit = compile_forest_op(forest, x)
         assert circuit.num_qubits == (n - 1).bit_length() + h + 2
         sv = _run(circuit.num_qubits, circuit.gates)
-        sv.check_norm()
-        p = sv.probability(circuit.register("phi").qubits, 1)
+        check_norm(sv)
+        p = probability(sv, circuit.register("phi").qubits, 1)
         assert p == pytest.approx(beta_classical(forest, x), abs=1e-9)
 
 
@@ -207,7 +210,7 @@ def test_forest_op_tree_marginal_is_uniform():
     sv = _run(circuit.num_qubits, circuit.gates)
     lam = circuit.register("lambda")
     for i in range(4):
-        assert sv.probability(lam.qubits, i) == pytest.approx(0.25, abs=1e-9)
+        assert probability(sv, lam.qubits, i) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_forest_op_branches_land_on_walked_leaves():
@@ -216,7 +219,7 @@ def test_forest_op_branches_land_on_walked_leaves():
     sv = _run(circuit.num_qubits, circuit.gates)
     lam, psi = circuit.register("lambda"), circuit.register("psi")
     for i, leaf in enumerate(walk_forest(forest, x).tolist()):
-        joint = sv.probability(lam.qubits + psi.qubits, (i << psi.size) | leaf)
+        joint = probability(sv, lam.qubits + psi.qubits, (i << psi.size) | leaf)
         assert joint == pytest.approx(1.0 / forest.n, abs=1e-10)
 
 
@@ -286,10 +289,10 @@ def test_V_flips_phase_of_marked_results(reference):
     circuit = compile_forest_op(*reference)
     v = build_V(circuit)
     phi = circuit.register("phi").qubits[0]
-    keep = StateVector.basis(circuit.num_qubits, 0).apply_all(v)
+    keep = basis_state(circuit.num_qubits, 0).apply_all(v)
     assert keep.amplitudes[0] == 1.0
     marked = 1 << (circuit.num_qubits - 1 - phi)
-    flipped = StateVector.basis(circuit.num_qubits, marked).apply_all(v)
+    flipped = basis_state(circuit.num_qubits, marked).apply_all(v)
     assert flipped.amplitudes[marked] == -1.0
     rng = np.random.default_rng(66)
     state = random_statevector(circuit.num_qubits, rng)

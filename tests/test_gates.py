@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import controlled, gate_menu, random_unitary_2x2
+from conftest import controlled, gate_matrix, gate_menu, random_unitary_2x2, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
-from qrforest.gates import (
-    gate_matrix,
-    inverse,
-    reflection_about_zero,
-    swap_as_cnots,
-)
+from qrforest.gates import inverse, reflection_about_zero
 
 SQ2 = 1.0 / math.sqrt(2.0)
 

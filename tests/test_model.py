@@ -9,6 +9,7 @@ from conftest import (
     MIXED_SCHEMA,
     document_inputs,
     forest_documents,
+    generate_random_input,
     mean_forecast_oracle,
     random_instance,
     recursive_walk_oracle,
@@ -28,7 +29,6 @@ from qrforest.model import (
     error_metric,
     forecast_classical,
     generate_random_forest,
-    generate_random_input,
     walk_forest,
 )
 

@@ -1,14 +1,17 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import controlled, random_instance, two_leaf_forest
+from conftest import controlled, document_inputs, forest_documents, gate_matrix, random_instance
+from conftest import two_leaf_forest
 from qrforest.compiler import compile_forest_op
 from qrforest.exceptions import ResourceLimitError
+from qrforest.forest_io import load_forest
 from qrforest.model import InputObject, beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     EstimationResult,
@@ -100,7 +103,6 @@ def test_half_amplitude_distribution_at_t32():
     # beta = 0.5 sits exactly on the t=32 grid (k = 8 and its mirror 24)
     forest, x = _half_beta_instance()
     engine = PhaseEstimation(compile_forest_op(forest, x), 32)
-    assert engine.phase.size == 5
     dist = engine.distribution()
     expected = np.zeros(32)
     expected[8] = expected[24] = 0.5
@@ -113,7 +115,6 @@ def test_engine_matches_dense_matrix_phase_estimation(n, h, seed, t):
     """End-to-end oracle: rebuild the whole QPE pipeline with dense matrices
     (via gate_matrix and an explicit DFT matrix) and compare distributions."""
     from qrforest.compiler import grover_iterate
-    from qrforest.gates import gate_matrix
 
     forest, x = random_instance(n, h, seed)
     circuit = compile_forest_op(forest, x)
@@ -161,6 +162,20 @@ def test_engine_matches_closed_form_on_random_forests(n, h, t, seed):
     expected = exact_outcome_distribution(beta_classical(forest, x), t)
     np.testing.assert_allclose(dist, expected, atol=1e-12)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((2, 8, 64)))
+def test_distribution_is_a_probability_vector_on_documents(data, t):
+    """The engine's outcome distribution is non-negative and sums to 1."""
+    doc = data.draw(forest_documents())
+    forest = load_forest(json.dumps(doc))
+    assume(forest.y_max > forest.y_min)
+    x = data.draw(document_inputs(doc))
+    dist = PhaseEstimation(compile_forest_op(forest, x), t).distribution()
+    assert dist.shape == (t,)
+    assert dist.min() >= 0.0
+    assert abs(dist.sum() - 1.0) <= 1e-12
 
 
 def test_boosted_success_rate_at_beta_point_three(shared_engines):

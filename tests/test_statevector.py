@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gate_menu, random_statevector
+from conftest import basis_state, check_norm, gate_matrix, gate_menu, norm, probability
+from conftest import random_statevector, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
-from qrforest.gates import gate_matrix, swap_as_cnots
 from qrforest.statevector import Register, StateVector
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -17,23 +17,23 @@ SQ2 = 1.0 / math.sqrt(2.0)
 def test_hadamard_on_zero():
     sv = StateVector(1).apply(g.h(0))
     np.testing.assert_allclose(sv.amplitudes, [SQ2, SQ2], atol=1e-15)
-    assert sv.probability((0,), 1) == pytest.approx(0.5)
+    assert probability(sv, (0,), 1) == pytest.approx(0.5)
 
 
 def test_ry_sets_requested_probability():
     sv = StateVector(1).apply(g.ry(0, 2.0 * math.asin(math.sqrt(0.25))))
-    assert sv.probability((0,), 1) == pytest.approx(0.25, abs=1e-15)
+    assert probability(sv, (0,), 1) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_cnot_flips_conditionally():
-    sv = StateVector.basis(2, 0b10).apply(g.cnot(0, 1))
+    sv = basis_state(2, 0b10).apply(g.cnot(0, 1))
     np.testing.assert_allclose(sv.amplitudes, [0, 0, 0, 1], atol=0)
-    sv = StateVector.basis(2, 0b01).apply(g.cnot(0, 1))
+    sv = basis_state(2, 0b01).apply(g.cnot(0, 1))
     np.testing.assert_allclose(sv.amplitudes, [0, 1, 0, 0], atol=0)
 
 
 def test_zero_state_probability():
-    assert StateVector(2).probability((1,), 1) == 0.0
+    assert probability(StateVector(2), (1,), 1) == 0.0
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))
@@ -107,7 +107,7 @@ def test_ucr_single_control_pi_flips_when_control_set():
     expected = np.eye(4)
     expected[2:, 2:] = [[0, -1], [1, 0]]
     for basis in range(4):
-        sv = StateVector.basis(2, basis).apply(g.ucr((0,), 1, [0.0, math.pi]))
+        sv = basis_state(2, basis).apply(g.ucr((0,), 1, [0.0, math.pi]))
         np.testing.assert_allclose(sv.amplitudes, expected[:, basis], atol=1e-15)
 
 
@@ -128,7 +128,7 @@ def test_ucr_matches_block_diagonal_oracle():
 
 
 def test_swap_as_cnots_behaves_like_swap():
-    sv = StateVector.basis(2, 0b01).apply_all(swap_as_cnots(0, 1))
+    sv = basis_state(2, 0b01).apply_all(swap_as_cnots(0, 1))
     np.testing.assert_allclose(sv.amplitudes, [0, 0, 1, 0], atol=0)
     rng = np.random.default_rng(16)
     state = random_statevector(2, rng)
@@ -143,47 +143,18 @@ def test_norm_preserved_over_random_sequence():
     for _ in range(200):
         label, gate = gate_menu(5, rng)[rng.integers(0, 12)]
         sv.apply(gate)
-    assert abs(sv.norm() - 1.0) < 1e-10
-    sv.check_norm()
-
-
-def test_sample_deterministic_basis_state():
-    sv = StateVector.basis(3, 5)
-    assert all(sv.sample(seed) == 5 for seed in range(20))
-
-
-def test_sample_uniform_frequencies():
-    sv = StateVector(2).apply(g.h(0)).apply(g.h(1))
-    rng = np.random.default_rng(18)
-    draws = np.array([sv.sample(rng) for _ in range(10_000)])
-    for outcome in range(4):
-        assert abs((draws == outcome).mean() - 0.25) < 0.02
-
-
-def test_sample_seed_reproducibility():
-    sv = StateVector(3).apply(g.h(0)).apply(g.h(2))
-    a = [sv.sample(123) for _ in range(5)]
-    rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
-    seq1 = [sv.sample(rng1) for _ in range(50)]
-    seq2 = [sv.sample(rng2) for _ in range(50)]
-    assert len(set(a)) == 1
-    assert seq1 == seq2
-
-
-def test_sample_rejects_unnormalized():
-    sv = StateVector(1, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="unnormalized"):
-        sv.sample(0)
+    assert abs(norm(sv) - 1.0) < 1e-10
+    check_norm(sv)
 
 
 def test_register_probability():
     reg = Register("psi", 1, 2)
-    sv = StateVector.basis(3, 0b011)
-    assert sv.probability(reg.qubits, 0b11) == 1.0
-    assert sv.probability(reg.qubits, 0b01) == 0.0
-    assert sv.probability((0,), 0) == 1.0
+    sv = basis_state(3, 0b011)
+    assert probability(sv, reg.qubits, 0b11) == 1.0
+    assert probability(sv, reg.qubits, 0b01) == 0.0
+    assert probability(sv, (0,), 0) == 1.0
     with pytest.raises(ValueError):
-        sv.probability(reg.qubits, 4)
+        probability(sv, reg.qubits, 4)
 
 
 def test_out_of_range_qubit_rejected():
