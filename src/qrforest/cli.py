@@ -20,6 +20,7 @@ import math
 import sys
 import time
 
+from .config import MAX_CATEGORIES
 from .exceptions import DegenerateRangeError, QrfError, ResourceLimitError
 from .forest_io import load_forest, save_forest
 from .model import (
@@ -57,7 +58,7 @@ def _parse_attrs(text: str) -> tuple[Attribute, ...]:
             categories = int(token[5:]) if token.startswith("disc:") else 0
         except ValueError:
             categories = 0
-        if not 1 <= categories < 2**63:  # generate draws from 1 .. K as int64
+        if not 1 <= categories <= MAX_CATEGORIES:
             raise QrfError(f"bad attribute token {token!r} (use 'real' or 'disc:K')")
         out.append(Attribute("discrete", categories))
     return tuple(out)

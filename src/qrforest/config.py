@@ -13,3 +13,8 @@ MAX_SIM_QUBITS = 22
 # (n, 2^h) arrays (21 bytes a slot), allocated before any simulator width
 # check, so n * 2^h is checked before anything is allocated or drawn.
 MAX_FOREST_SLOTS = 2**20
+
+# Largest category count of a discrete attribute: thresholds and input values
+# are float64, which hold every integer up to 2^53 exactly and no longer tell
+# 2^53 + 1 from 2^53.
+MAX_CATEGORIES = 2**53

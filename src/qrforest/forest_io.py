@@ -22,13 +22,15 @@ checking ``n * 2^h`` against ``config.MAX_FOREST_SLOTS``; an early leaf
 fills one contiguous range of leaf slots.  Unknown fields anywhere are
 rejected.
 
-Each tree is checked and filled in bulk by ``_fill_tree``: whole-tree passes
-over its keys and values (canonical index keys, exact field sets and types,
-one finite-number array, per-schema category lookups, reachability by the
-parent rule) and array writes into its row.  The per-entry ``_parse_tree``
-makes the same checks one entry at a time; it is the only code that words an
-error, and a tree reaches it only when a bulk check fails, so a valid
-document never does.
+The whole document is checked and filled in bulk by ``_fill_forest``, with
+one pass per field over the keys and values of every tree: index keys read
+from their joined ASCII digits, exact field sets and types, one finite-number
+array, per-schema category lookups, reachability by the parent rule on one
+``(n, 2^(h+1))`` heap of declarations, and array writes at ``[row, slot]``.
+The per-entry ``_parse_tree`` makes the same checks one entry at a time; it
+is the only code that words an error.  Only when a bulk check fails does
+``load_forest`` run it, tree by tree in order, so the first bad tree raises
+and a valid document never reaches it.
 
 ``save_forest`` is canonical (fixed key order, numerically sorted indices,
 shortest-round-trip floats), so equal forests serialize to identical bytes
@@ -43,10 +45,11 @@ import json
 import math
 import operator
 import sys
+from itertools import chain
 
 import numpy as np
 
-from .config import MAX_FOREST_SLOTS
+from .config import MAX_CATEGORIES, MAX_FOREST_SLOTS
 from .exceptions import ForestFormatError
 from .model import EQUALS, PREDICATE_KINDS, Attribute, RandomForest
 
@@ -99,6 +102,8 @@ def _parse_schema(raw, where: str) -> tuple[Attribute, ...]:
             cats = entry["categories"]
             if isinstance(cats, bool) or not isinstance(cats, int) or cats < 1:
                 raise ForestFormatError(f"{loc}: categories must be an integer >= 1")
+            if cats > MAX_CATEGORIES:
+                raise ForestFormatError(f"{loc}: categories must be <= 2^53 (inputs are float64)")
             out.append(Attribute("discrete", cats))
         else:
             raise ForestFormatError(f"{loc}: kind must be 'real' or 'discrete'")
@@ -174,84 +179,108 @@ def _parse_tree(raw, h: int, schema: tuple[Attribute, ...], where: str, row: tup
 
 
 _KIND_CODES = {k: i for i, k in enumerate(PREDICATE_KINDS)}
-_PREDICATE_FIELDS = operator.itemgetter("kind", "attr", "threshold")
 
 
 def _canonical_indices(keys: list[str], end: int) -> np.ndarray | None:
     """The keys as heap indices, or None unless every key is the canonical
-    decimal string of an index in ``[1, end)``."""
-    try:
-        at = list(map(int, keys))
-    except ValueError:
+    decimal string of an index in ``[1, end)``: non-empty ASCII digits with
+    no leading zero (so at least 1), read from their joined bytes."""
+    if not keys:
+        return np.zeros(0, dtype=np.intp)
+    joined = "".join(keys)
+    lengths = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    if not joined.isascii() or lengths.min() < 1 or lengths.max() > len(str(end - 1)):
         return None
-    if list(map(str, at)) != keys or (at and not (min(at) >= 1 and max(at) < end)):
+    digits = np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - np.uint8(48)  # wraps below "0"
+    ends = np.cumsum(lengths)
+    if not (digits < 10).all() or not digits[ends - lengths].all():
         return None
-    return np.array(at, dtype=np.intp)
+    at = np.zeros(len(keys), dtype=np.intp)
+    for p in range(lengths.max()):
+        # The digit p places before each key's end; for a shorter key the
+        # index falls in an earlier key (or wraps), and the mask drops it.
+        at += np.where(lengths > p, digits[ends - 1 - p], 0).astype(np.intp) * 10**p
+    return at if at.max() < end else None
 
 
-def _fill_tree(raw, h: int, categories: np.ndarray, row: tuple[np.ndarray, ...]) -> bool:
-    """Check one tree as ``_parse_tree`` does, with whole-tree passes, and
-    fill its row views ``(kind, attribute, threshold, leaf)``.  Returns False,
-    having written nothing, when any check fails.  ``categories[a]`` is the
-    category count of attribute ``a``, 0 for a real one."""
-    if type(raw) is not dict or raw.keys() != {"nodes", "leaves"}:
+def _fill_forest(trees: list, h: int, categories: np.ndarray, arrays: tuple[np.ndarray, ...]) -> bool:
+    """Check every tree as ``_parse_tree`` does, with one pass per field over
+    the whole document, and fill the forest ``arrays`` ``(kind, attribute,
+    threshold, leaf)``.  Returns False, having written nothing, when any check
+    fails.  ``categories[a]`` is the category count of attribute ``a``, 0 for
+    a real one."""
+    if not set(map(type, trees)) <= {dict} or any(t.keys() != {"nodes", "leaves"} for t in trees):
         return False
-    nodes, leaves = raw["nodes"], raw["leaves"]
-    if type(nodes) is not dict or type(leaves) is not dict:
+    nodes = list(map(operator.itemgetter("nodes"), trees))
+    leaves = list(map(operator.itemgetter("leaves"), trees))
+    if not set(map(type, nodes)) | set(map(type, leaves)) <= {dict}:
         return False
-    node_at = _canonical_indices(list(nodes), 1 << h)
-    leaf_at = _canonical_indices(list(leaves), 2 << h)
+    node_at = _canonical_indices(list(chain.from_iterable(nodes)), 1 << h)
+    leaf_at = _canonical_indices(list(chain.from_iterable(leaves)), 2 << h)
     if node_at is None or leaf_at is None:
         return False
-    predicates = list(nodes.values())
-    if not set(map(type, predicates)) <= {dict} or not set(map(len, predicates)) <= {3}:
-        return False
+    predicates = list(chain.from_iterable(map(dict.values, nodes)))
     try:
-        kinds, attrs, thresholds = zip(*map(_PREDICATE_FIELDS, predicates)) if predicates else ((),) * 3
-        codes = list(map(_KIND_CODES.__getitem__, kinds))
+        # A three-field object holding all three names has exactly these
+        # fields; len and itemgetter raise TypeError on any other JSON value.
+        if not set(map(len, predicates)) <= {3}:
+            return False
+        kinds = map(operator.itemgetter("kind"), predicates)
+        codes = np.fromiter(map(_KIND_CODES.__getitem__, kinds), dtype=np.int8, count=len(predicates))
+        attrs = list(map(operator.itemgetter("attr"), predicates))
+        thresholds = list(map(operator.itemgetter("threshold"), predicates))
     except (KeyError, TypeError):  # a missing field, or an unknown or unhashable kind
         return False
-    labels = list(leaves.values())
-    if not set(map(type, attrs)) <= {int} or (attrs and not 1 <= min(attrs) <= max(attrs) < len(categories)):
+    labels = list(chain.from_iterable(map(dict.values, leaves)))
+    if not set(map(type, attrs)) <= {int}:
         return False
     if not set(map(type, thresholds)) | set(map(type, labels)) <= {int, float}:
         return False
     try:
-        numbers = np.array([*thresholds, *labels], dtype=np.float64)
-    except OverflowError:
+        attrs = np.array(attrs, dtype=np.int64)
+        thresholds = np.array(thresholds, dtype=np.float64)
+        labels = np.array(labels, dtype=np.float64)
+    except OverflowError:  # an integer beyond int64, or beyond the double range
         return False
-    if not np.isfinite(numbers).all():
+    if len(attrs) and not 1 <= attrs.min() <= attrs.max() < len(categories):
         return False
-    cut = len(predicates)
-    codes, attrs = np.array(codes, dtype=np.int8), np.array(attrs, dtype=np.int32)
+    if not (np.isfinite(thresholds).all() and np.isfinite(labels).all()):
+        return False
     equals = codes == EQUALS
-    t, c = numbers[:cut][equals], categories[attrs[equals]]
+    t, c = thresholds[equals], categories[attrs[equals]]
     if not ((t == np.floor(t)) & (1 <= t) & (t <= c)).all():
         return False
-    # Heap of declarations (0 none, 1 node, 2 leaf).  The tree is a valid
-    # walk from the root exactly when the root is declared, every declared
-    # index's parent is a node and every node's children are declared.  An
-    # index declared as both ends up a leaf here, and its declared children
-    # then fail the parent rule.
-    heap = np.zeros(2 << h, dtype=np.int8)
-    heap[0] = 1  # stands in as the root's parent
-    heap[node_at] = 1
-    heap[leaf_at] = 2
+    # Heaps of declarations (0 none, 1 node, 2 leaf), one row per tree.  A
+    # tree is a valid walk from the root exactly when the root is declared,
+    # every declared index's parent is a node and every node's children are
+    # declared.  An index declared as both ends up a leaf here, and its
+    # declared children then fail the parent rule.
+    rows = np.arange(len(trees))
+    node_row = np.repeat(rows, list(map(len, nodes)))
+    leaf_row = np.repeat(rows, list(map(len, leaves)))
+    heap = np.zeros((len(trees), 2 << h), dtype=np.int8)
+    heap[:, 0] = 1  # stands in as the root's parent
+    heap[node_row, node_at] = 1
+    heap[leaf_row, leaf_at] = 2
     if (
-        not heap[1]
-        or (heap[np.concatenate((node_at, leaf_at)) >> 1] != 1).any()
-        or not heap[node_at << 1].all()
-        or not heap[(node_at << 1) | 1].all()
+        not heap[:, 1].all()
+        or (heap[node_row, node_at >> 1] != 1).any()
+        or (heap[leaf_row, leaf_at >> 1] != 1).any()
+        or not heap[node_row, node_at << 1].all()
+        or not heap[node_row, (node_at << 1) | 1].all()
     ):
         return False
 
-    kind, attribute, threshold, leaf = row
-    kind[node_at], attribute[node_at], threshold[node_at] = codes, attrs, numbers[:cut]
-    # A leaf at depth d covers 2^(h - d) leaf slots; the leaves of a valid
-    # tree tile all 2^h slots, so their labels in slot order fill the row.
+    kind, attribute, threshold, leaf = arrays
+    kind[node_row, node_at] = codes
+    attribute[node_row, node_at] = attrs
+    threshold[node_row, node_at] = thresholds
+    # A leaf at depth d covers 2^(h - d) leaf slots from its first slot; the
+    # leaves of valid trees tile every row, so their labels in (row, slot)
+    # order, that is in order of the first slot's flat index, fill the array.
     below = h + 1 - np.frexp(leaf_at)[1]
-    order = np.argsort((leaf_at << below) - (1 << h))
-    leaf[:] = np.repeat(numbers[cut:][order], 1 << below[order])
+    order = np.argsort((leaf_row << h) + (leaf_at << below) - (1 << h))
+    leaf[:] = np.repeat(labels[order], 1 << below[order]).reshape(leaf.shape)
     return True
 
 
@@ -293,10 +322,9 @@ def load_forest(text: str) -> RandomForest:
         np.empty((n, 2**h)),
     )
     categories = np.array([0] + [a.categories or 0 for a in schema])
-    for i, raw in enumerate(doc["trees"]):
-        row = tuple(a[i] for a in arrays)
-        if not _fill_tree(raw, h, categories, row):
-            _parse_tree(raw, h, schema, f"trees[{i}]", row)
+    if not _fill_forest(doc["trees"], h, categories, arrays):
+        for i, raw in enumerate(doc["trees"]):
+            _parse_tree(raw, h, schema, f"trees[{i}]", tuple(a[i] for a in arrays))
     try:
         return RandomForest(schema, *arrays)
     except ValueError as e:  # labels too large to sum

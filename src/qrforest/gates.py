@@ -111,10 +111,6 @@ def x(q: int) -> Gate:
     return Gate("x", (q,))
 
 
-def ry(q: int, angle: float) -> Gate:
-    return ucr((), q, (angle,))
-
-
 def one_qubit(q: int, matrix) -> Gate:
     return ucg((), q, [matrix])
 

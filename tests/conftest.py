@@ -78,6 +78,11 @@ def random_statevector(num_qubits, rng):
     return amps / np.linalg.norm(amps)
 
 
+def ry(q, angle):
+    """An Ry rotation: a ucr with no selects."""
+    return g.ucr((), q, (angle,))
+
+
 def random_unitary_2x2(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(a)
@@ -107,7 +112,7 @@ def gate_menu(num_qubits, rng):
     menu = [
         ("h", g.h(q1)),
         ("x", g.x(q1)),
-        ("ry", g.ry(q1, float(rng.uniform(-2 * np.pi, 2 * np.pi)))),
+        ("ry", ry(q1, float(rng.uniform(-2 * np.pi, 2 * np.pi)))),
         ("u", g.one_qubit(q1, random_unitary_2x2(rng))),
         ("cnot", g.cnot(c1, t1)),
         ("anti-controlled-x", g.Gate("x", (t1,), controls=((c1, 0),))),

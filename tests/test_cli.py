@@ -76,13 +76,24 @@ def test_generate_accepts_a_spaced_negative_range(tmp_path):
     assert load_forest(spaced.read_text()).y_min >= -2.0
 
 
-@pytest.mark.parametrize("token", ["disc:x", "disc:", "disc:99999999999999999999"])
+@pytest.mark.parametrize("token", ["disc:x", "disc:", "disc:99999999999999999999", "disc:9007199254740993"])
 def test_generate_names_a_bad_category_count(tmp_path, capsys, token):
     out = tmp_path / "f.json"
     assert run_cli("generate", "-n", "1", "--height", "1", "--attrs", f"real,{token}",
                    "--out", str(out)) == 3
     assert f"bad attribute token {token!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_category_count_of_two_to_the_53_is_the_largest(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run_cli("generate", "-n", "1", "--height", "2", "--attrs", f"disc:{2**53}", "--out", str(out)) == 0
+    assert load_forest(out.read_text()).schema == (Attribute("discrete", 2**53),)
+    doc = json.loads(out.read_text())
+    doc["schema"][0]["categories"] = 2**53 + 1
+    out.write_text(json.dumps(doc))
+    assert run_cli("forecast", "--forest", str(out), "--input", "1", "--mode", "classical") == 3
+    assert "schema[0]: categories must be <= 2^53 (inputs are float64)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,digest", [

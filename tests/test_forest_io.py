@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,14 @@ from qrforest import forest_io
 from qrforest.config import MAX_FOREST_SLOTS
 from qrforest.exceptions import ForestFormatError
 from qrforest.forest_io import load_forest, save_forest
-from qrforest.model import Attribute, InputObject, RandomForest, generate_random_forest, walk_forest
+from qrforest.model import (
+    Attribute,
+    InputObject,
+    RandomForest,
+    forecast_classical,
+    generate_random_forest,
+    walk_forest,
+)
 
 MINIMAL = """
 {
@@ -105,6 +113,20 @@ def test_non_decimal_index_rejected():
             load_forest(json.dumps(doc))
 
 
+def test_index_key_with_a_digit_lookalike_rejected():
+    # ":" follows "9" in ASCII, so a reader of digits as bytes minus "0"
+    # would take "1:" for index 20, which this tree needs.
+    node = {"kind": "threshold-greater", "attr": 1, "threshold": 0.5}
+    tree = {"nodes": {"1": node, "2": node, "5": node, "10": node},
+            "leaves": {"3": 1.0, "4": 2.0, "11": 3.0, "20": 4.0, "21": 5.0}}
+    doc = {"n": 1, "h": 4, "schema": [{"kind": "real"}], "trees": [tree]}
+    assert load_forest(json.dumps(doc)).leaf[0].tolist() == [2.0] * 4 + [4.0, 5.0] + [3.0] * 2 + [1.0] * 8
+    tree["leaves"]["1:"] = tree["leaves"].pop("20")
+    with pytest.raises(ForestFormatError) as e:
+        load_forest(json.dumps(doc))
+    assert str(e.value) == "trees[0].leaves['1:']: index key '1:' is not a decimal string"
+
+
 @pytest.mark.parametrize("entries, key, message", [
     ("nodes", "0", "node index out of range [1, 1]"),
     ("nodes", "2", "node index out of range [1, 1]"),
@@ -130,6 +152,24 @@ def test_integers_beyond_the_double_range_are_not_finite(sign):
     doc["trees"][0]["leaves"]["3"] = huge
     with pytest.raises(ForestFormatError, match=r"leaves\['3'\]: number must be finite"):
         load_forest(json.dumps(doc))
+
+
+def _one_equals_node(categories):
+    return json.dumps({"n": 1, "h": 1, "schema": [{"kind": "discrete", "categories": categories}], "trees": [
+        {"nodes": {"1": {"kind": "equals", "attr": 1, "threshold": categories}}, "leaves": {"2": 1.0, "3": 2.0}}
+    ]})
+
+
+def test_category_counts_stop_at_two_to_the_53():
+    # Inputs and thresholds are float64, where 2^53 + 1 rounds to 2^53.
+    top = 2**53
+    forest = load_forest(_one_equals_node(top))
+    assert forecast_classical(forest, InputObject.of(float(top))) == 2.0
+    assert forecast_classical(forest, InputObject.of(float(top - 1))) == 1.0
+    for categories in (top + 1, 10**30):
+        with pytest.raises(ForestFormatError) as e:
+            load_forest(_one_equals_node(categories))
+        assert str(e.value) == "schema[0]: categories must be <= 2^53 (inputs are float64)"
 
 
 def test_index_key_beyond_the_digit_limit_names_its_location():
@@ -308,6 +348,9 @@ _BAD_KEYS = (
     lambda k: k[0] + "_" + (k[1:] or "0"),
     lambda k: k.translate(_ARABIC_INDIC),
     lambda k: "²",
+    lambda k: k + "\x00",
+    lambda k: k + ",",
+    lambda k: "",
 )
 
 
@@ -393,7 +436,7 @@ def test_bulk_load_agrees_with_the_per_entry_parser(mutate, data):
     doc = data.draw(forest_documents(max_h=3))
     mutate(doc, data)
     text = json.dumps(doc)
-    with mock.patch.object(forest_io, "_fill_tree", return_value=False):
+    with mock.patch.object(forest_io, "_fill_forest", return_value=False):
         reference = _loaded(text)
     if isinstance(reference, str):
         assert _loaded(text) == reference
@@ -401,6 +444,55 @@ def test_bulk_load_agrees_with_the_per_entry_parser(mutate, data):
         reached = AssertionError("per-entry parser reached")
         with mock.patch.object(forest_io, "_parse_tree", side_effect=reached):
             assert _loaded(text) == reference
+
+
+def _tall_document():
+    """Four trees of height 10 whose branches end early with probability
+    1/5 at each internal index, so index keys run from 1 to 4 digits."""
+    rng = np.random.default_rng(10)
+    schema = [{"kind": "real"}, {"kind": "discrete", "categories": 3}]
+    trees = []
+    for _ in range(4):
+        nodes, leaves, stack = {}, {}, [1]
+        while stack:
+            j = stack.pop()
+            if j >= 1 << 10 or rng.random() < 0.2:
+                leaves[str(j)] = float(rng.normal())
+                continue
+            if rng.random() < 0.5:
+                nodes[str(j)] = {"kind": "equals", "attr": 2, "threshold": int(rng.integers(1, 4))}
+            else:
+                nodes[str(j)] = {"kind": "threshold-greater", "attr": 1, "threshold": float(rng.random())}
+            stack += [2 * j, 2 * j + 1]
+        trees.append({"nodes": nodes, "leaves": leaves})
+    return {"n": 4, "h": 10, "schema": schema, "trees": trees}
+
+
+def test_bulk_load_agrees_with_the_per_entry_parser_at_height_10():
+    doc = _tall_document()
+    keys = [k for tree in doc["trees"] for entries in tree.values() for k in entries]
+    assert {len(k) for k in keys} == {1, 2, 3, 4}
+    text = json.dumps(doc)
+    with mock.patch.object(forest_io, "_fill_forest", return_value=False):
+        reference = _loaded(text)
+    reached = AssertionError("per-entry parser reached")
+    with mock.patch.object(forest_io, "_parse_tree", side_effect=reached):
+        assert _loaded(text) == reference
+
+
+@pytest.mark.parametrize("pick", [min, max], ids=["shortest", "longest"])
+@pytest.mark.parametrize("bad_key", _BAD_KEYS)
+def test_bulk_load_agrees_with_the_per_entry_parser_at_height_10_on_a_bad_key(bad_key, pick):
+    # A bad form of a short key stays within the longest key's digit count.
+    doc = _tall_document()
+    leaves = doc["trees"][2]["leaves"]  # the first two trees load before it raises
+    key = pick(leaves, key=int)
+    leaves[bad_key(key)] = leaves.pop(key)
+    text = json.dumps(doc)
+    with mock.patch.object(forest_io, "_fill_forest", return_value=False):
+        reference = _loaded(text)
+    assert reference.startswith("trees[2].leaves[")
+    assert _loaded(text) == reference
 
 
 _KIND_NAMES = ("threshold-greater", "equals")

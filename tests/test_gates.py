@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import controlled, gate_matrix, gate_menu, random_unitary_2x2, swap_as_cnots
+from conftest import controlled, gate_matrix, gate_menu, random_unitary_2x2, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.gates import inverse, reflection_about_zero
@@ -30,12 +30,12 @@ def test_x_and_cnot_and_swap_matrices():
 
 def test_ry_matrix():
     xi = 1.234
-    m = gate_matrix(g.ry(0, xi))
+    m = gate_matrix(ry(0, xi))
     expected = np.array(
         [[math.cos(xi / 2), -math.sin(xi / 2)], [math.sin(xi / 2), math.cos(xi / 2)]]
     )
     np.testing.assert_allclose(m, expected, atol=1e-15)
-    assert g.ry(0, xi) == g.ucr((), 0, [xi])  # an Ry is a ucr with no selects
+    assert ry(0, xi) == g.ucr((), 0, [xi])  # an Ry is a ucr with no selects
 
 
 def test_all_gate_kinds_are_unitary():
@@ -89,7 +89,7 @@ def test_block_array_is_lowered_once_and_read_only(kind):
     gate = {
         "h": lambda: g.h(0),
         "x": lambda: g.x(0),
-        "ry": lambda: g.ry(0, rng.uniform(-math.pi, math.pi)),
+        "ry": lambda: ry(0, rng.uniform(-math.pi, math.pi)),
         "u": lambda: g.one_qubit(0, random_unitary_2x2(rng)),
         "ucg": lambda: g.ucg((0, 1), 2, [random_unitary_2x2(rng) for _ in range(4)]),
         "ucr": lambda: g.ucr((0, 1), 2, rng.uniform(-math.pi, math.pi, size=4)),

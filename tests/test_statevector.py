@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import basis_state, check_norm, gate_matrix, gate_menu, norm, probability
-from conftest import random_statevector, swap_as_cnots
+from conftest import random_statevector, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.statevector import Register, StateVector
@@ -21,7 +21,7 @@ def test_hadamard_on_zero():
 
 
 def test_ry_sets_requested_probability():
-    sv = StateVector(1).apply(g.ry(0, 2.0 * math.asin(math.sqrt(0.25))))
+    sv = StateVector(1).apply(ry(0, 2.0 * math.asin(math.sqrt(0.25))))
     assert probability(sv, (0,), 1) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -91,7 +91,7 @@ def test_ry_opposite_angles_cancel():
     for _ in range(10):
         xi = float(rng.uniform(-6, 6))
         state = random_statevector(2, rng)
-        sv = StateVector(2, state).apply(g.ry(0, xi)).apply(g.ry(0, -xi))
+        sv = StateVector(2, state).apply(ry(0, xi)).apply(ry(0, -xi))
         assert np.abs(sv.amplitudes - state).max() < 1e-10
 
 
