@@ -20,7 +20,6 @@ import math
 import sys
 import time
 
-from .config import MAX_CATEGORIES
 from .exceptions import DegenerateRangeError, QrfError, ResourceLimitError
 from .forest_io import load_forest, save_forest
 from .model import (
@@ -54,13 +53,10 @@ def _parse_attrs(text: str) -> tuple[Attribute, ...]:
         if token == "real":
             out.append(Attribute("real"))
             continue
-        try:
-            categories = int(token[5:]) if token.startswith("disc:") else 0
+        try:  # Attribute refuses a count outside 1 .. config.MAX_CATEGORIES
+            out.append(Attribute("discrete", int(token[5:]) if token.startswith("disc:") else 0))
         except ValueError:
-            categories = 0
-        if not 1 <= categories <= MAX_CATEGORIES:
-            raise QrfError(f"bad attribute token {token!r} (use 'real' or 'disc:K')")
-        out.append(Attribute("discrete", categories))
+            raise QrfError(f"bad attribute token {token!r} (use 'real' or 'disc:K')") from None
     return tuple(out)
 
 

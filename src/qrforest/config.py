@@ -4,6 +4,8 @@ Randomness policy: every seeded code path builds a ``numpy.random.Generator``
 over PCG64 via ``default_rng(seed)`` (sub-streams via ``SeedSequence.spawn``),
 and all discrete sampling is inverse-CDF on ``Generator.random()``.  That
 keeps sampled streams reproducible across platforms for a fixed seed.
+``model.generate_random_forest`` reads its generator's raw words and replays
+``Generator.integers`` and ``Generator.random`` on them.
 """
 
 # Hard cap on simulated width; 2^22 complex amplitudes is 64 MiB.

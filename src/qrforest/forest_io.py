@@ -353,16 +353,21 @@ def save_forest(forest: RandomForest) -> str:
     ]
     head = json.dumps({"n": forest.n, "h": forest.height, "schema": schema}, indent=2)
     width = forest.leaf.shape[1]
+    # Each tree is one ``%`` call: its node templates, picked by kind, and the
+    # leaf templates, filled from one flat argument list holding (index,
+    # attr, threshold) per node up to ``end`` and then (index, label) per leaf.
+    leaves = ",\n".join([_LEAF_TEMPLATE] * width)
+    end = 3 * (width - 1)
+    args = [None] * (end + 2 * width)
+    args[0:end:3] = range(1, width)
+    args[end::2] = range(width, 2 * width)
     trees = []
     for kinds, attrs, thresholds, labels in zip(
         forest.kind.tolist(), forest.attribute.tolist(), forest.threshold.tolist(), forest.leaf.tolist()
     ):
-        nodes = map(
-            operator.mod,
-            map(_NODE_TEMPLATES.__getitem__, kinds[1:]),
-            zip(range(1, width), attrs[1:], thresholds[1:]),
-        )
-        leaves = map(_LEAF_TEMPLATE.__mod__, zip(range(width, 2 * width), labels))
-        trees.append(_TREE_TEMPLATE % (",\n".join(nodes), ",\n".join(leaves)))
+        args[1:end:3] = attrs[1:]
+        args[2:end:3] = thresholds[1:]
+        args[end + 1 :: 2] = labels
+        template = _TREE_TEMPLATE % (",\n".join(map(_NODE_TEMPLATES.__getitem__, kinds[1:])), leaves)
+        trees.append(template % tuple(args))
     return head[: -len("\n}")] + ',\n  "trees": [\n' + ",\n".join(trees) + "\n  ]\n}\n"
-

@@ -18,11 +18,12 @@ estimate back to the raw forecast scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_FOREST_SLOTS
+from .config import MAX_CATEGORIES, MAX_FOREST_SLOTS
 from .exceptions import DegenerateRangeError, MetricError, SchemaMismatchError
 
 PREDICATE_KINDS = ("threshold-greater", "equals")
@@ -33,7 +34,7 @@ METRIC_NAMES = ("MAE", "MSE", "RMSE", "MAPE", "wMAPE", "sMAPE")
 @dataclass(frozen=True)
 class Attribute:
     """Schema entry: a real-valued attribute, or a discrete one with
-    categories ``1 .. categories``."""
+    categories ``1 .. categories`` (an integer up to ``MAX_CATEGORIES``)."""
 
     kind: str
     categories: int | None = None
@@ -42,8 +43,14 @@ class Attribute:
         if self.kind not in ("real", "discrete"):
             raise ValueError(f"unknown attribute kind {self.kind!r}")
         if self.kind == "discrete":
-            if self.categories is None or self.categories < 1:
-                raise ValueError("discrete attribute needs categories >= 1")
+            try:
+                categories = operator.index(self.categories)
+            except TypeError:
+                raise ValueError("discrete attribute needs an integer count of categories") from None
+            if not 1 <= categories <= MAX_CATEGORIES:
+                raise ValueError("discrete attribute needs 1 <= categories <= 2^53 (inputs are float64)")
+            # kept as a Python int: generate_random_forest multiplies it by 64-bit words
+            object.__setattr__(self, "categories", categories)
         elif self.categories is not None:
             raise ValueError("real attribute takes no categories")
 
@@ -229,6 +236,21 @@ def error_metric(pairs: list[PredictionPair], metric: str) -> float:
     return float(value)
 
 
+# Generator.integers and Generator.random as numpy computes them from PCG64's
+# raw 64-bit words; generate_random_forest replays them.
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_DOUBLE = 2.0**-53  # random() is a fresh word's top 53 bits times this
+
+
+def _rejects(k: int) -> int:
+    """Lemire's rejection bound for ``Generator.integers(0, k)``: a draw
+    ``u`` is redrawn while ``u * k`` modulo ``2^bits`` is below it, with
+    ``bits`` 32 up to ``k = 2^32`` (for ``k = 2^32`` the bound is 0 and the
+    result is the raw 32-bit value, as numpy takes it) and 64 above."""
+    return (1 << (32 if k <= 1 << 32 else 64)) % k
+
+
 def generate_random_forest(
     n: int,
     h: int,
@@ -240,6 +262,22 @@ def generate_random_forest(
     labels are uniform in ``value_range``.  Real attributes get
     threshold-greater predicates with thresholds in [0, 1); discrete ones get
     equals predicates on a uniform category.  Deterministic per seed.
+
+    The forest for a seed is what ``default_rng(seed)`` gives node by node,
+    tree by tree: ``integers(0, len(schema))`` for the attribute, then
+    ``random()`` for a real one or ``integers(1, categories + 1)`` for a
+    discrete one, and ``random(2^h)`` for each tree's leaves, so a seed's
+    forest is unchanged from the per-call generator.  Those calls are not
+    made: raw PCG64 words are drawn about a tree at a time
+    (``bit_generator.random_raw``) and one scan over the nodes replays
+    numpy's rules on them.  A double is a fresh word's top 53 bits.  An
+    integer draws nothing for one choice, and otherwise is Lemire's
+    multiply-and-reject on a 32-bit value (up to 2^32 choices) or on a whole
+    word.  A 32-bit value is the low half of a fresh word, then that word's
+    high half; doubles and whole words leave a pending high half alone.  The
+    scan is serial because the attribute drawn decides the next draw.  A
+    change to numpy's stream would show in the ``generate`` golden tests and
+    in the test that compares this with the per-call loop.
     """
     if n < 1 or h < 1:
         raise ValueError("need n >= 1 and h >= 1")
@@ -248,19 +286,57 @@ def generate_random_forest(
     lo, hi = value_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError("value_range must be a finite (lo, hi) with lo <= hi")
-    rng = np.random.default_rng(seed)
-    kind = np.zeros((n, 2**h), dtype=np.int8)
-    attribute = np.ones((n, 2**h), dtype=np.int32)
-    threshold = np.zeros((n, 2**h))
-    leaf = np.empty((n, 2**h))
-    for i in range(n):
-        for j in range(1, 2**h):
-            a = int(rng.integers(0, len(schema)))
-            attribute[i, j] = a + 1
-            if schema[a].kind == "real":
-                threshold[i, j] = rng.random()
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    width = 2**h
+    budget = 3 * width  # words a tree takes at most unless a draw is rejected
+    words, w, half = [], 0, -1  # half: a pending high 32 bits, or -1
+
+    def word() -> int:
+        nonlocal words, w
+        if w == len(words):
+            words, w = raw(budget).tolist(), 0
+        w += 1
+        return words[w - 1]
+
+    def integer(k: int, rejects: int) -> int:
+        """``Generator.integers(0, k)``."""
+        nonlocal half
+        if k == 1:
+            return 0
+        if k > 1 << 32:  # k <= MAX_CATEGORIES rules out numpy's raw-word case k = 2^64
+            m = word() * k
+            while m & _M64 < rejects:
+                m = word() * k
+            return m >> 64
+        while True:
+            if half < 0:
+                x = word()
+                u, half = x & _M32, x >> 32
             else:
-                kind[i, j] = EQUALS
-                threshold[i, j] = rng.integers(1, schema[a].categories + 1)
-        leaf[i] = lo + (hi - lo) * rng.random(2**h)
+                u, half = half, -1
+            m = u * k
+            if m & _M32 >= rejects:
+                return m >> 32
+
+    pick_attribute = (len(schema), _rejects(len(schema)))
+    pick_threshold = [(0, 0) if a.kind == "real" else (a.categories, _rejects(a.categories)) for a in schema]
+    kind = np.zeros((n, width), dtype=np.int8)
+    attribute = np.ones((n, width), dtype=np.int32)
+    threshold = np.zeros((n, width))
+    leaf = np.empty((n, width))
+    for i in range(n):
+        attrs, thresholds = [], []
+        for _ in range(width - 1):
+            a = integer(*pick_attribute)
+            attrs.append(a + 1)
+            k, rejects = pick_threshold[a]  # k = 0: a real attribute
+            thresholds.append(1 + integer(k, rejects) if k else (word() >> 11) * _DOUBLE)
+        attribute[i, 1:] = attrs
+        threshold[i, 1:] = thresholds
+        if len(words) - w < width:
+            words, w = words[w:] + raw(budget).tolist(), 0
+        leaf[i] = lo + (hi - lo) * ((np.array(words[w : w + width], dtype=np.uint64) >> 11) * _DOUBLE)
+        w += width
+    discrete = np.array([False] + [a.kind == "discrete" for a in schema])  # by 1-based attribute
+    kind[:, 1:] = np.where(discrete[attribute[:, 1:]], EQUALS, 0)
     return RandomForest(tuple(schema), kind, attribute, threshold, leaf)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qrforest import gates as g
 from qrforest import qae
 from qrforest.exceptions import ResourceLimitError
-from qrforest.model import Attribute, InputObject, RandomForest, generate_random_forest
+from qrforest.model import EQUALS, Attribute, InputObject, RandomForest, generate_random_forest
 from qrforest.reference import reference_forest, reference_input
 from qrforest.statevector import StateVector
 
@@ -58,6 +58,29 @@ def random_instance(n, h, seed, schema=MIXED_SCHEMA, value_range=(-1.0, 3.0)):
     """Seeded (forest, input) pair over a schema mixing attribute kinds."""
     forest = generate_random_forest(n, h, schema, value_range, seed)
     return forest, generate_random_input(schema, seed + 10_000)
+
+
+def per_call_forest(n, h, schema, value_range, seed):
+    """The generator as one numpy call per draw: the reference that
+    ``generate_random_forest``'s replay of raw words must match bit for
+    bit."""
+    lo, hi = value_range
+    rng = np.random.default_rng(seed)
+    kind = np.zeros((n, 2**h), dtype=np.int8)
+    attribute = np.ones((n, 2**h), dtype=np.int32)
+    threshold = np.zeros((n, 2**h))
+    leaf = np.empty((n, 2**h))
+    for i in range(n):
+        for j in range(1, 2**h):
+            a = int(rng.integers(0, len(schema)))
+            attribute[i, j] = a + 1
+            if schema[a].kind == "real":
+                threshold[i, j] = rng.random()
+            else:
+                kind[i, j] = EQUALS
+                threshold[i, j] = rng.integers(1, schema[a].categories + 1)
+        leaf[i] = lo + (hi - lo) * rng.random(2**h)
+    return RandomForest(tuple(schema), kind, attribute, threshold, leaf)
 
 
 def two_leaf_forest(*label_pairs, threshold=0.5):

@@ -12,7 +12,7 @@ import pytest
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
-@pytest.mark.parametrize("workload", ["qpe-wide", "small-mixed"])
+@pytest.mark.parametrize("workload", ["qpe-wide", "small-mixed", "classical-large"])
 def test_measure_role_checks_every_output(tmp_path, workload):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",

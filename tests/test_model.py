@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,6 +11,7 @@ from conftest import (
     forest_documents,
     generate_random_input,
     mean_forecast_oracle,
+    per_call_forest,
     random_instance,
     recursive_walk_oracle,
     two_leaf_forest,
@@ -217,6 +218,72 @@ def test_generated_forests_satisfy_invariants():
                 if forest.kind[i, j] == EQUALS:
                     assert attr.kind == "discrete"
                     assert 1 <= forest.threshold[i, j] <= attr.categories
+
+
+# Category counts on every draw path of Generator.integers(1, k + 1): none
+# (1), 32-bit Lemire (2, 3, 7; 2^31 + 1 rejects about half its draws), a raw
+# 32-bit value (2^32) and 64-bit Lemire (2^32 + 1, 2^53, and a factor of
+# 2^64 + 1, whose bound k - 1 is the largest a 64-bit draw can meet).
+_REJECTS_64 = 67280421310721
+_DRAW_PATH_CATEGORIES = (1, 2, 3, 7, 2**31 + 1, 2**32, 2**32 + 1, 2**53, _REJECTS_64)
+_ATTRIBUTES = st.one_of(
+    st.just(Attribute("real")), st.sampled_from(_DRAW_PATH_CATEGORIES).map(lambda k: Attribute("discrete", k))
+)
+
+
+def assert_same_forest(a, b):
+    for name in ("kind", "attribute", "threshold", "leaf"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    schema=st.lists(_ATTRIBUTES, min_size=1, max_size=4).map(tuple),
+    n=st.integers(1, 8),
+    h=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(schema=(Attribute("discrete", 2**31 + 1),), n=8, h=6, seed=1)
+@example(schema=(Attribute("real"), Attribute("discrete", 2**31 + 1)), n=8, h=6, seed=2)
+@example(schema=(Attribute("discrete", 2**32), Attribute("real"), Attribute("discrete", 7)), n=5, h=5, seed=3)
+@example(schema=(Attribute("discrete", 2**32 + 1), Attribute("discrete", 2**53)), n=4, h=6, seed=4)
+@example(schema=(Attribute("discrete", _REJECTS_64),), n=1, h=6, seed=14182)  # one 64-bit draw rejected
+@example(schema=(Attribute("discrete", 1), Attribute("discrete", 3), Attribute("real")), n=3, h=4, seed=5)
+@example(schema=(Attribute("real"),), n=2, h=3, seed=6)
+@example(schema=(Attribute("discrete", 1),), n=1, h=1, seed=7)
+def test_generator_replays_the_per_call_draws(schema, n, h, seed):
+    """The raw-word replay gives bit for bit what one numpy call per draw
+    gives, on every draw path and with rejections."""
+    assert_same_forest(
+        generate_random_forest(n, h, schema, (-1.0, 3.0), seed), per_call_forest(n, h, schema, (-1.0, 3.0), seed)
+    )
+
+
+def test_generator_replays_the_per_call_draws_at_benchmark_size():
+    # MIXED_SCHEMA is the benchmark's real,disc:2,disc:3,real
+    assert_same_forest(
+        generate_random_forest(64, 10, MIXED_SCHEMA, (-1.0, 3.0), 1501),
+        per_call_forest(64, 10, MIXED_SCHEMA, (-1.0, 3.0), 1501),
+    )
+
+
+def test_attribute_takes_an_integer_count_of_at_most_2_to_the_53_categories():
+    for bad in (2**53 + 1, 0, 2.5, 3.0, None):
+        with pytest.raises(ValueError):
+            Attribute("discrete", bad)
+    wide = Attribute("discrete", np.int64(2**31 + 1))
+    assert type(wide.categories) is int and wide == Attribute("discrete", 2**31 + 1)
+    assert_same_forest(
+        generate_random_forest(2, 4, (wide,), (0.0, 1.0), 9), per_call_forest(2, 4, (wide,), (0.0, 1.0), 9)
+    )
+    schema = (Attribute("discrete", 2**53), Attribute("real"))
+    forest = generate_random_forest(3, 3, schema, (0.0, 1.0), seed=8)
+    text = save_forest(forest)
+    loaded = load_forest(text)
+    assert loaded.schema == schema
+    assert_same_forest(loaded, forest)
+    assert save_forest(loaded) == text
 
 
 def test_input_validation():
