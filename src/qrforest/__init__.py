@@ -5,13 +5,11 @@ state-vector simulator."""
 from .compiler import (
     CompiledCircuit,
     build_D,
-    build_V,
     compile_forest_op,
     compile_inverse,
     compile_plus1,
     compile_times2,
     dump_circuit,
-    grover_iterate,
     leaf_angles,
 )
 from .exceptions import (

@@ -15,12 +15,15 @@ Exit codes: 0 success, 2 usage (argparse), 3 input parsing/validation,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
+import os
 import sys
 import time
 
-from .exceptions import DegenerateRangeError, QrfError, ResourceLimitError
+from .config import MAX_FOREST_BYTES, MAX_INPUT_BYTES, MAX_PAIRS_LINE
+from .exceptions import DegenerateRangeError, MetricError, QrfError, ResourceLimitError
 from .forest_io import load_forest, save_forest
 from .model import (
     Attribute,
@@ -36,7 +39,6 @@ from .model import (
 from .qae import QaeConfig, check_width, error_bound, estimate_of, query_count, run_forecast, sample_outcomes
 from .reference import REFERENCE_RUNS, REFERENCE_T, reference_forest, reference_input
 from .compiler import check_compilable, compile_forest_op
-from .exceptions import MetricError
 
 SCHEMA_VERSION = 1
 SUCCESS_FLOOR = 8.0 / math.pi**2
@@ -68,6 +70,18 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _read_text(path: str, cap: int) -> str:
+    """Text-mode ``open(path).read()`` of at most ``cap`` bytes: one read of a
+    regular file's size + 1, else a MiB a read, refused once past ``cap``."""
+    with open(path, "rb") as fh:
+        parts = [fh.read(min(os.fstat(fh.fileno()).st_size, cap) + 1)]
+        while (size := sum(map(len, parts))) <= cap and (part := fh.read(min(cap + 1 - size, 1 << 20))):
+            parts.append(part)
+    if size > cap:
+        raise QrfError(f"{path}: longer than {cap} bytes")
+    return io.TextIOWrapper(io.BytesIO(b"".join(parts))).read()
+
+
 def _number_list(text: str) -> InputObject | None:
     try:
         return InputObject(tuple(float(v) for v in text.split(",")))
@@ -82,8 +96,7 @@ def _parse_input(value: str) -> InputObject:
     x = _number_list(value)
     if x is None:
         try:
-            with open(value) as fh:
-                value = fh.read().strip()
+            value = _read_text(value, MAX_INPUT_BYTES).strip()
         except OSError:
             pass
         x = _number_list(value)
@@ -124,8 +137,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    with open(args.forest) as fh:
-        forest = load_forest(fh.read())
+    forest = load_forest(_read_text(args.forest, MAX_FOREST_BYTES))
     x = _parse_input(args.input)
     started = time.perf_counter()
 
@@ -281,20 +293,19 @@ def cmd_reproduce(args) -> int:
 def cmd_metrics(args) -> int:
     pairs = []
     with open(args.pairs) as fh:
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(iter(lambda: fh.readline(MAX_PAIRS_LINE + 1), ""), 1):
+            if len(line) > MAX_PAIRS_LINE:
+                raise QrfError(f"{args.pairs}:{lineno}: longer than {MAX_PAIRS_LINE} characters")
             line = line.strip()
             if not line:
                 continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line")
-            try:
-                pair = PredictionPair(float(parts[0]), float(parts[1]))
+            try:  # a count other than two fails to unpack
+                truth, forecast = map(float, line.replace(",", " ").split())
             except ValueError:
                 raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line") from None
-            if not (math.isfinite(pair.truth) and math.isfinite(pair.forecast)):
+            if not (math.isfinite(truth) and math.isfinite(forecast)):
                 raise QrfError(f"{args.pairs}:{lineno}: values must be finite")
-            pairs.append(pair)
+            pairs.append(PredictionPair(truth, forecast))
     if not pairs:
         raise QrfError(f"{args.pairs}: no pairs found")
     wanted = METRIC_NAMES if args.metrics is None else tuple(args.metrics.split(","))

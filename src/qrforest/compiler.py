@@ -139,22 +139,12 @@ def compile_inverse(circuit: CompiledCircuit) -> CompiledCircuit:
     return replace(circuit, gates=tuple(g.inverse(gate) for gate in reversed(circuit.gates)))
 
 
-def build_V(circuit: CompiledCircuit) -> tuple[g.Gate, ...]:
-    """Phase flip on phi = 1 (the reflection I - 2P)."""
-    return (g.pauli_z(circuit.register("phi").qubits[0]),)
-
-
 def build_D(circuit: CompiledCircuit) -> tuple[g.Gate, ...]:
     """Reflection about the prepared state: U (2|0><0| - I) U^-1, applied
     right to left as a gate list."""
     inv = compile_inverse(circuit)
     refl = g.reflection_about_zero(tuple(range(circuit.num_qubits)))
     return inv.gates + (refl,) + circuit.gates
-
-
-def grover_iterate(circuit: CompiledCircuit) -> tuple[g.Gate, ...]:
-    """One application of Q = D V (V first in gate order)."""
-    return build_V(circuit) + build_D(circuit)
 
 
 def _fmt_blocks(blocks: np.ndarray) -> str:

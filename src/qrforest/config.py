@@ -16,6 +16,12 @@ MAX_SIM_QUBITS = 22
 # check, so n * 2^h is checked before anything is allocated or drawn.
 MAX_FOREST_SLOTS = 2**20
 
+# Longest inputs read: a forest document in bytes (a canonical one takes about
+# 158 a slot, at most 190), an --input file, a --pairs line (characters).
+MAX_FOREST_BYTES = 256 * MAX_FOREST_SLOTS
+MAX_INPUT_BYTES = 2**20
+MAX_PAIRS_LINE = 2**12
+
 # Largest category count of a discrete attribute: thresholds and input values
 # are float64, which hold every integer up to 2^53 exactly and no longer tell
 # 2^53 + 1 from 2^53.

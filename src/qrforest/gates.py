@@ -115,10 +115,6 @@ def one_qubit(q: int, matrix) -> Gate:
     return ucg((), q, [matrix])
 
 
-def pauli_z(q: int) -> Gate:
-    return ucg((), q, [_Z])
-
-
 def cnot(control_qubit: int, target_qubit: int) -> Gate:
     return Gate("x", (target_qubit,), controls=((control_qubit, 1),))
 

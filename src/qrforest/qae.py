@@ -11,15 +11,15 @@ forecast with probability at least ``8 / pi^2``.  Median boosting over an
 odd number of independent runs drives the failure probability below any
 requested ``delta``.
 
-The simulation does not build that circuit gate by gate.  Because the
-phase register starts uniform, the controlled powers leave the history
-state ``sum_k Q^k|Psi> |k> / sqrt(t)`` (Cleve, Ekert, Macchiavello, Mosca,
-quant-ph/9708016).  The engine therefore simulates only the work register:
-column ``k`` of a ``(2^w, t)`` array holds ``Q^k Psi``, filled by ``t - 1``
-plain applications of Q (its gates bound to the state once), and the inverse
-Fourier transform on the phase register is ``np.fft.fft`` along the columns
-divided by ``t``.  The width cap still counts work + phase qubits, since the
-``t`` columns hold as many amplitudes as the textbook state.
+The simulation builds no such circuit.  The controlled powers leave the
+history state ``sum_m Q^m|Psi> |m> / sqrt(t)`` (Cleve, Ekert, Macchiavello,
+Mosca, quant-ph/9708016); Q is unitary, so its readout needs only
+``g(m) = <Psi|Q^m Psi>``: outcome ``k`` has probability
+``(2 Re fft((t - m) g(m))[k] - t g(0)) / t^2`` over m = 0 .. t-1, clipped at
+0 as rounding can leave a zero a few ulps below.  The engine holds Psi and
+one running vector; each of ``t - 1`` steps negates its odd amplitudes (V:
+phi is the last work qubit), runs the bound D and reads ``g(m)``.  The width
+cap still counts the textbook circuit's work + phase qubits, as before.
 
 The outcome distribution is a deterministic function of (forest, input, t)
 and is simulated once per call of ``sample_outcomes``; the repetitions of
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiler import CompiledCircuit, check_compilable, compile_forest_op, grover_iterate
+from .compiler import CompiledCircuit, build_D, check_compilable, compile_forest_op
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 from .model import InputObject, RandomForest, beta_to_R
@@ -151,26 +151,25 @@ def check_width(work_qubits: int, t: int) -> None:
 
 
 class PhaseEstimation:
-    """Exact QPE outcome distribution for one (circuit, t) pair.
-
-    Built from the history state: column ``k`` of a ``(2^w, t)`` array is
-    ``Q^k Psi`` on the ``w``-qubit work register, and ``fft(cols) / t``
-    along the phase axis is the inverse-QFT output, so the distribution is
-    its squared modulus summed over the work register.  Only ``t`` and the
-    distribution are kept; the circuit is not.
-    """
+    """Exact QPE outcome distribution for one (circuit, t) pair:
+    ``max(0, (2 Re fft((t - m) g) - t g(0)) / t^2)`` from ``g(m)`` streamed
+    off one running vector (see above).  Only it and ``t`` are kept."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
         self.t = t
         sv = StateVector(circuit.num_qubits).apply_all(circuit.gates)
-        iterate = sv.bind(grover_iterate(circuit))
-        cols = np.empty((sv.amplitudes.size, t), dtype=np.complex128, order="F")
-        cols[:, 0] = sv.amplitudes
-        for k in range(1, t):
-            cols[:, k] = sv.run(iterate).amplitudes
-        readout = np.fft.fft(cols, axis=1) / t
-        self._distribution = (np.abs(readout) ** 2).sum(axis=0)
+        v = sv.amplitudes  # the running vector, Psi until the first step
+        psi_conj = v.conj()
+        reflect = sv.bind(build_D(circuit))
+        g = np.empty(t, dtype=np.complex128)
+        g[0] = np.add.reduce(psi_conj * v)  # a plain sum: np.vdot may start BLAS threads
+        for m in range(1, t):
+            v[1::2] *= -1
+            sv.run(reflect)
+            g[m] = np.add.reduce(psi_conj * v)
+        p = 2.0 * np.fft.fft((t - np.arange(t)) * g).real - t * g[0].real
+        self._distribution = np.maximum(p / t**2, 0.0)
         self._cumulative = np.cumsum(self._distribution)
 
     def distribution(self) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qrforest import gates as g
 from qrforest import qae
+from qrforest.compiler import build_D
 from qrforest.exceptions import ResourceLimitError
 from qrforest.model import EQUALS, Attribute, InputObject, RandomForest, generate_random_forest
 from qrforest.reference import reference_forest, reference_input
@@ -144,7 +145,7 @@ def gate_menu(num_qubits, rng):
         ("ucg", g.ucg(sel[:-1], sel[-1], [random_unitary_2x2(rng) for _ in range(4)])),
         ("ucr", g.ucr(sel[:-1], sel[-1], rng.uniform(-np.pi, np.pi, size=4))),
         ("reflection", g.reflection_about_zero(tuple(range(num_qubits)))),
-        ("z", g.pauli_z(q1)),
+        ("z", pauli_z(q1)),
         ("controlled-ucg", replace(g.ucg(tuple(csel), ct, blocks(csel)), controls=((cc0, 0), (cc1, 1)))),
         ("controlled-ucr", replace(
             g.ucr(tuple(csel), ct, rng.uniform(-np.pi, np.pi, size=2 ** len(csel))),
@@ -274,6 +275,22 @@ def controlled(gate, qubit, value=1):
         new = angles + pad if value == 0 else pad + angles
         return g.ucr((qubit, *gate.selects), gate.target, new)
     return g.Gate(gate.kind, gate.qubits, gate.params, gate.controls + ((qubit, value),))
+
+
+def pauli_z(q):
+    """Z as a ucg with no selects."""
+    return g.ucg((), q, [g._Z])
+
+
+def build_V(circuit):
+    """The textbook oracle's V: a Z on phi, the reflection I - 2P that marks
+    phi = 1.  The engine flips the signs of the odd amplitudes instead."""
+    return (pauli_z(circuit.register("phi").qubits[0]),)
+
+
+def grover_iterate(circuit):
+    """One application of Q = D V as a gate list (V first in gate order)."""
+    return build_V(circuit) + build_D(circuit)
 
 
 def recursive_walk_oracle(text, x):

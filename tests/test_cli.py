@@ -2,16 +2,19 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from qrforest.cli import _emit, main
+from qrforest import cli
+from qrforest.cli import _emit, _read_text, main
 from qrforest.compiler import compile_forest_op
-from qrforest.config import MAX_FOREST_SLOTS
+from qrforest.config import MAX_FOREST_BYTES, MAX_FOREST_SLOTS, MAX_INPUT_BYTES, MAX_PAIRS_LINE
 from qrforest.exceptions import ForestFormatError
 from qrforest.forest_io import load_forest, save_forest
-from qrforest.model import Attribute, beta_to_R
+from qrforest.model import Attribute, RandomForest, beta_to_R
 from qrforest.qae import MAX_REPETITIONS, QaeConfig, estimate_with_boosting
 from qrforest.reference import reference_forest, reference_input
 from conftest import two_leaf_forest
@@ -158,6 +161,94 @@ def test_forecast_input_from_file(tmp_path, capsys):
                    "--mode", "classical", "--format", "structured") == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["input"] == [0.9]
+
+
+needs_dev_zero = pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+
+
+def _traced_run(*argv):
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@needs_dev_zero
+def test_forecast_refuses_an_endless_forest(tmp_path, monkeypatch, capsys):
+    # The real cap, 256 MiB, would hold that much of /dev/zero; a smaller one
+    # shows that reading stops one byte past it.
+    monkeypatch.setattr(cli, "MAX_FOREST_BYTES", 1 << 20)
+    code, peak = _traced_run("forecast", "--forest", "/dev/zero", "--input", "0.2")
+    assert code == 3
+    assert capsys.readouterr().err == f"error: /dev/zero: longer than {1 << 20} bytes\n"
+    assert peak < 3 << 20
+    path = write_two_tree_forest(tmp_path)
+    text = path.read_text()
+    monkeypatch.setattr(cli, "MAX_FOREST_BYTES", len(text))
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--mode", "classical") == 0
+    monkeypatch.setattr(cli, "MAX_FOREST_BYTES", len(text) - 1)
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--mode", "classical") == 3
+    assert f"{path}: longer than {len(text) - 1} bytes" in capsys.readouterr().err
+
+
+@needs_dev_zero
+def test_forecast_refuses_an_endless_input_file(tmp_path, capsys):
+    path = write_two_tree_forest(tmp_path)
+    code, peak = _traced_run("forecast", "--forest", str(path), "--input", "/dev/zero")
+    assert code == 3
+    assert capsys.readouterr().err == f"error: /dev/zero: longer than {MAX_INPUT_BYTES} bytes\n"
+    assert peak < 3 * MAX_INPUT_BYTES
+    big = tmp_path / "input.csv"
+    big.write_text("0.9".ljust(MAX_INPUT_BYTES))
+    assert run_cli("forecast", "--forest", str(path), "--input", str(big), "--mode", "classical") == 0
+    big.write_text("0.9".ljust(MAX_INPUT_BYTES + 1))
+    assert run_cli("forecast", "--forest", str(path), "--input", str(big), "--mode", "classical") == 3
+    assert f"{big}: longer than {MAX_INPUT_BYTES} bytes" in capsys.readouterr().err
+
+
+@needs_dev_zero
+def test_metrics_refuses_an_endless_pairs_line(tmp_path, capsys):
+    code, peak = _traced_run("metrics", "--pairs", "/dev/zero")
+    assert code == 3
+    assert capsys.readouterr().err == f"error: /dev/zero:1: longer than {MAX_PAIRS_LINE} characters\n"
+    assert peak < 1 << 20
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("2 1\n" + "1 2".ljust(MAX_PAIRS_LINE - 1) + "\n")
+    assert run_cli("metrics", "--pairs", str(pairs)) == 0
+    pairs.write_text("2 1\n" + "1 2".ljust(MAX_PAIRS_LINE) + "\n")
+    assert run_cli("metrics", "--pairs", str(pairs)) == 3
+    assert f"{pairs}:2: longer than {MAX_PAIRS_LINE} characters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", (
+    b"0.5,\r\n1\r2\n", b"\xc3\xa9t\xc3\xa9\r", b"", b"\xff\xfe bad", b"ok\xc3",
+))
+def test_capped_read_decodes_as_text_mode_open(tmp_path, raw):
+    path = tmp_path / "f.txt"
+    path.write_bytes(raw)
+    try:
+        with open(path) as fh:
+            expected = fh.read()
+    except UnicodeDecodeError as e:
+        with pytest.raises(UnicodeDecodeError) as got:
+            _read_text(str(path), 64)
+        assert str(got.value) == str(e)
+    else:
+        assert _read_text(str(path), 64) == expected
+
+
+def test_forest_cap_covers_canonical_documents_at_the_slot_budget():
+    # Every number at the longest repr a finite double has, in a forest of
+    # 2^12 slots, whose 4-digit heap indices are 3 digits short of the 7 at
+    # 2^20 slots; one node and one leaf index a slot.
+    slots, longest = 4 * 2**10, -1.2345678901234567e-300
+    full = np.full((4, 2**10), longest)
+    forest = RandomForest((Attribute("real"),) * 12, np.zeros(full.shape), np.full(full.shape, 12), full, full)
+    per_slot = len(save_forest(forest).encode()) / slots
+    assert 170 < per_slot < 190
+    assert (per_slot + 2 * 3) * MAX_FOREST_SLOTS <= MAX_FOREST_BYTES
 
 
 def test_forecast_literal_input_is_not_shadowed_by_a_file(tmp_path, monkeypatch, capsys):

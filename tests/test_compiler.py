@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from conftest import (
     MIXED_SCHEMA,
     basis_state,
+    build_V,
     check_norm,
     document_inputs,
     forest_documents,
     gate_matrix,
     gate_menu,
     generate_random_input,
+    grover_iterate,
     probability,
     random_instance,
     random_statevector,
@@ -27,13 +29,11 @@ from conftest import (
 from qrforest import gates as g
 from qrforest.compiler import (
     build_D,
-    build_V,
     compile_forest_op,
     compile_inverse,
     compile_plus1,
     compile_times2,
     dump_circuit,
-    grover_iterate,
     leaf_angles,
     registers_for,
 )
@@ -350,8 +350,8 @@ def test_grover_iterate_is_V_then_D(reference):
 
 
 def test_compile_memory_is_bounded():
-    # n = 1, h = 12: 12 walk ucgs of 2^12 blocks, each held by U and U^-1
-    # as one complex128 array, are 6 MiB (7.5 MiB traced at the peak).
+    # n = 1, h = 12: 12 walk ucgs of 2^12 blocks, each one complex128 array
+    # that U^-1 shares with U, are 3 MiB (4.5 MiB traced at the peak).
     # Blocks held as Python objects would need several times that.
     forest = generate_random_forest(1, 12, MIXED_SCHEMA, (0.0, 1.0), 12)
     x = generate_random_input(MIXED_SCHEMA, 12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import controlled, gate_matrix, gate_menu, random_unitary_2x2, ry, swap_as_cnots
+from conftest import controlled, gate_matrix, gate_menu, pauli_z, random_unitary_2x2, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.gates import inverse, reflection_about_zero
@@ -169,7 +169,7 @@ def test_self_inverse_gates():
 
 def test_inverse_of_self_inverse_ucg_is_the_gate():
     walk = g.ucg((0, 1), 2, [g._X, g._ID, g._ID, g._X])
-    for gate in (walk, reflection_about_zero((0, 1, 2)), g.pauli_z(1)):
+    for gate in (walk, reflection_about_zero((0, 1, 2)), pauli_z(1)):
         assert inverse(gate) is gate
     rng = np.random.default_rng(8)
     u = g.ucg((0,), 1, [random_unitary_2x2(rng) for _ in range(2)])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_half_amplitude_distribution_at_t32():
 def test_engine_matches_dense_matrix_phase_estimation(n, h, seed, t):
     """End-to-end oracle: rebuild the whole QPE pipeline with dense matrices
     (via gate_matrix and an explicit DFT matrix) and compare distributions."""
-    from qrforest.compiler import grover_iterate
+    from conftest import grover_iterate
 
     forest, x = random_instance(n, h, seed)
     circuit = compile_forest_op(forest, x)
@@ -176,6 +177,51 @@ def test_distribution_is_a_probability_vector_on_documents(data, t):
     assert dist.shape == (t,)
     assert dist.min() >= 0.0
     assert abs(dist.sum() - 1.0) <= 1e-12
+
+
+def _success_probability(dist, beta, t):
+    """Exact single-run success probability: the mass of the outcomes whose
+    estimate lies within the quant-ph/0005055 radius of ``beta``."""
+    radius = 2 * math.pi * math.sqrt(beta * (1 - beta)) / t + math.pi**2 / t**2
+    return sum(p for k, p in enumerate(dist) if abs(math.sin(math.pi * k / t) ** 2 - beta) <= radius)
+
+
+def _median_failure(success, r):
+    """Probability that at least (r + 1) / 2 of r independent runs fail."""
+    q = max(0.0, 1.0 - success)
+    return sum(math.comb(r, j) * q**j * (1 - q) ** (r - j) for j in range((r + 1) // 2, r + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((4, 8, 16, 32, 64)))
+def test_exact_guarantees_on_documents(data, t):
+    """The 8/pi^2 single-run bound and the median boost, from the exact
+    distributions of the engine and of the closed form, not from draws."""
+    doc = data.draw(forest_documents())
+    forest = load_forest(json.dumps(doc))
+    assume(forest.y_max > forest.y_min)
+    x = data.draw(document_inputs(doc))
+    beta = beta_classical(forest, x)
+    engine = PhaseEstimation(compile_forest_op(forest, x), t).distribution()
+    for dist in (engine, exact_outcome_distribution(beta, t)):
+        success = _success_probability(dist, beta, t)
+        assert success >= 8 / math.pi**2 - 1e-12
+        for delta in (0.2, 0.05, 1e-3):
+            assert _median_failure(success, repetitions_for_delta(delta)) <= delta
+
+
+def test_engine_memory_does_not_grow_with_t():
+    # n = 16, h = 5, t = 256: 11 work qubits.  Psi, the running vector and the
+    # bound D peak at 0.31 MiB traced; the (2^11, 256) history state it
+    # replaced peaked at 20.2 MiB.
+    circuit = compile_forest_op(*random_instance(16, 5, 5))
+    tracemalloc.start()
+    try:
+        PhaseEstimation(circuit, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_boosted_success_rate_at_beta_point_three(shared_engines):
