@@ -4,7 +4,7 @@ state-vector simulator."""
 
 from .compiler import (
     CompiledCircuit,
-    build_D,
+    Register,
     compile_forest_op,
     compile_inverse,
     compile_plus1,
@@ -49,6 +49,6 @@ from .qae import (
     run_forecast,
     sample_outcomes,
 )
-from .statevector import Register, StateVector
+from .statevector import StateVector
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ import numpy as np
 from . import gates as g
 from .exceptions import DegenerateRangeError, UnsupportedForestError
 from .model import InputObject, RandomForest, branch_outcomes
-from .statevector import Register
 
 _BLOCK_NAMES = ((g._ID, "I"), (g._X, "X"), (g._Z, "Z"), (g._NEG_ID, "-I"))
 
@@ -51,6 +50,23 @@ def leaf_angles(forest: RandomForest) -> np.ndarray:
     # the ucr angles and dump_circuit.
     ratios = ((forest.leaf - lo) / (hi - lo)).tolist()
     return np.array([[math.asin(math.sqrt(min(1.0, max(0.0, r)))) for r in row] for row in ratios])
+
+
+@dataclass(frozen=True)
+class Register:
+    """Named contiguous qubit range (lambda, psi, phi, phase)."""
+
+    name: str
+    start: int
+    size: int
+
+    def __post_init__(self):
+        if self.start < 0 or self.size < 0:
+            raise ValueError("register range must be non-negative")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return tuple(range(self.start, self.start + self.size))
 
 
 @dataclass(frozen=True)
@@ -137,14 +153,6 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
 def compile_inverse(circuit: CompiledCircuit) -> CompiledCircuit:
     """Gatewise inverse in reverse order, over the same registers."""
     return replace(circuit, gates=tuple(g.inverse(gate) for gate in reversed(circuit.gates)))
-
-
-def build_D(circuit: CompiledCircuit) -> tuple[g.Gate, ...]:
-    """Reflection about the prepared state: U (2|0><0| - I) U^-1, applied
-    right to left as a gate list."""
-    inv = compile_inverse(circuit)
-    refl = g.reflection_about_zero(tuple(range(circuit.num_qubits)))
-    return inv.gates + (refl,) + circuit.gates
 
 
 def _fmt_blocks(blocks: np.ndarray) -> str:

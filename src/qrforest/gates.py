@@ -141,14 +141,6 @@ def ucr(selects: tuple[int, ...], target: int, angles) -> Gate:
     return Gate("ucr", (*selects, target), (angles,))
 
 
-def reflection_about_zero(qubits: tuple[int, ...]) -> Gate:
-    """The reflection 2|0..0><0..0| - I on the given qubits (as one ucg)."""
-    if not qubits:
-        raise ValueError("reflection needs at least one qubit")
-    rest = np.broadcast_to(_NEG_ID, (2 ** (len(qubits) - 1) - 1, 2, 2))
-    return ucg(tuple(qubits[:-1]), qubits[-1], np.concatenate((_Z[None], rest)))
-
-
 def inverse(gate: Gate) -> Gate:
     """Inverse gate: ucg conjugate-transposes each block (and is returned
     itself when that changes no block, as for X/I and Z/-I blocks), ucr

@@ -18,8 +18,10 @@ Mosca, quant-ph/9708016); Q is unitary, so its readout needs only
 ``(2 Re fft((t - m) g(m))[k] - t g(0)) / t^2`` over m = 0 .. t-1, clipped at
 0 as rounding can leave a zero a few ulps below.  The engine holds Psi and
 one running vector; each of ``t - 1`` steps negates its odd amplitudes (V:
-phi is the last work qubit), runs the bound D and reads ``g(m)``.  The width
-cap still counts the textbook circuit's work + phase qubits, as before.
+phi is the last work qubit), applies D = U (2|0><0| - I) U^-1 as undo (the
+bound U^-1), the sign step (negate every amplitude but that of the all-zero
+state, index 0 in any axis order) and redo (the bound U), and reads
+``g(m)``.  The width cap counts the textbook circuit's work + phase qubits.
 
 The outcome distribution is a deterministic function of (forest, input, t)
 and is simulated once per call of ``sample_outcomes``; the repetitions of
@@ -38,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiler import CompiledCircuit, build_D, check_compilable, compile_forest_op
+from .compiler import CompiledCircuit, check_compilable, compile_forest_op, compile_inverse
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 from .model import InputObject, RandomForest, beta_to_R
@@ -68,6 +70,11 @@ def _check_t(t: int) -> None:
         raise ValueError("t must be a power of two >= 2")
 
 
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True, slots=True)
 class QaeConfig:
     """Estimation parameters.
@@ -76,7 +83,7 @@ class QaeConfig:
     Give either ``repetitions`` (odd) or ``delta``; with neither, one
     repetition is run.  ``target`` selects whether the result also carries
     the forecast mapped back to the raw leaf-label scale ('r') or just the
-    normalized estimate ('beta').
+    normalized estimate ('beta').  A ``seed`` must be non-negative.
     """
 
     t: int
@@ -87,6 +94,7 @@ class QaeConfig:
 
     def __post_init__(self):
         _check_t(self.t)
+        _check_seed(self.seed)
         if self.repetitions is not None and self.delta is not None:
             raise ValueError("give repetitions or delta, not both")
         if self.repetitions is not None and (self.repetitions < 1 or self.repetitions % 2 == 0):
@@ -153,20 +161,26 @@ def check_width(work_qubits: int, t: int) -> None:
 class PhaseEstimation:
     """Exact QPE outcome distribution for one (circuit, t) pair:
     ``max(0, (2 Re fft((t - m) g) - t g(0)) / t^2)`` from ``g(m)`` streamed
-    off one running vector (see above).  Only it and ``t`` are kept."""
+    off one running vector (see above).  U is bound once as ``redo`` and
+    U^-1 once as ``undo``; a step is V, undo, the sign step, redo.  Only the
+    distribution and ``t`` are kept."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
         self.t = t
-        sv = StateVector(circuit.num_qubits).apply_all(circuit.gates)
-        v = sv.amplitudes  # the running vector, Psi until the first step
+        sv = StateVector(circuit.num_qubits)
+        redo = sv.bind(circuit.gates)
+        undo = sv.bind(compile_inverse(circuit).gates)
+        v = sv.run(redo).amplitudes  # the running vector, Psi until the first step
         psi_conj = v.conj()
-        reflect = sv.bind(build_D(circuit))
         g = np.empty(t, dtype=np.complex128)
         g[0] = np.add.reduce(psi_conj * v)  # a plain sum: np.vdot may start BLAS threads
         for m in range(1, t):
             v[1::2] *= -1
-            sv.run(reflect)
+            sv.run(undo)
+            v *= -1  # 2|0><0| - I: every sign but the all-zero state's
+            v[0] = -v[0]
+            sv.run(redo)
             g[m] = np.add.reduce(psi_conj * v)
         p = 2.0 * np.fft.fft((t - np.arange(t)) * g).real - t * g[0].real
         self._distribution = np.maximum(p / t**2, 0.0)
@@ -185,13 +199,15 @@ class PhaseEstimation:
 def sample_outcomes(circuit: CompiledCircuit, t: int, seed: int | None, count: int) -> tuple[int, ...]:
     """Phase outcomes of ``count`` independent runs, run ``i`` drawing from
     ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Every estimate in
-    the package is drawn here."""
+    the package is drawn here.  The seed is checked before anything is
+    simulated."""
     if count > MAX_REPETITIONS:
         raise ResourceLimitError(
             f"{count} runs requested; no failure bound needs more than {MAX_REPETITIONS}"
         )
-    engine = PhaseEstimation(circuit, t)
+    _check_seed(seed)
     seeds = np.random.SeedSequence(seed).spawn(count)
+    engine = PhaseEstimation(circuit, t)
     return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)
 
 

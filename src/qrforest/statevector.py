@@ -16,7 +16,6 @@ readout helpers only tests need, live with the tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -27,23 +26,6 @@ from .exceptions import ResourceLimitError
 
 # The third entry of ``bind``'s final step when swaps left the qubits on other axes.
 _REORDER = "reorder"
-
-
-@dataclass(frozen=True)
-class Register:
-    """Named contiguous qubit range (lambda, psi, phi, phase)."""
-
-    name: str
-    start: int
-    size: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.size < 0:
-            raise ValueError("register range must be non-negative")
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return tuple(range(self.start, self.start + self.size))
 
 
 class StateVector:

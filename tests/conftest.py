@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qrforest import gates as g
 from qrforest import qae
-from qrforest.compiler import build_D
+from qrforest.compiler import compile_inverse
 from qrforest.exceptions import ResourceLimitError
 from qrforest.model import EQUALS, Attribute, InputObject, RandomForest, generate_random_forest
 from qrforest.reference import reference_forest, reference_input
@@ -144,7 +144,7 @@ def gate_menu(num_qubits, rng):
         ("controlled-swap", g.Gate("swap", (csa, csb), controls=((cs, 1),))),
         ("ucg", g.ucg(sel[:-1], sel[-1], [random_unitary_2x2(rng) for _ in range(4)])),
         ("ucr", g.ucr(sel[:-1], sel[-1], rng.uniform(-np.pi, np.pi, size=4))),
-        ("reflection", g.reflection_about_zero(tuple(range(num_qubits)))),
+        ("reflection", reflection_about_zero(tuple(range(num_qubits)))),
         ("z", pauli_z(q1)),
         ("controlled-ucg", replace(g.ucg(tuple(csel), ct, blocks(csel)), controls=((cc0, 0), (cc1, 1)))),
         ("controlled-ucr", replace(
@@ -286,6 +286,23 @@ def build_V(circuit):
     """The textbook oracle's V: a Z on phi, the reflection I - 2P that marks
     phi = 1.  The engine flips the signs of the odd amplitudes instead."""
     return (pauli_z(circuit.register("phi").qubits[0]),)
+
+
+def reflection_about_zero(qubits):
+    """The reflection 2|0..0><0..0| - I on the given qubits (as one ucg).
+    The engine negates every amplitude but index 0's instead."""
+    if not qubits:
+        raise ValueError("reflection needs at least one qubit")
+    rest = np.broadcast_to(g._NEG_ID, (2 ** (len(qubits) - 1) - 1, 2, 2))
+    return g.ucg(tuple(qubits[:-1]), qubits[-1], np.concatenate((g._Z[None], rest)))
+
+
+def build_D(circuit):
+    """The textbook oracle's D, the reflection about the prepared state:
+    U (2|0><0| - I) U^-1, applied right to left as a gate list."""
+    inv = compile_inverse(circuit)
+    refl = reflection_about_zero(tuple(range(circuit.num_qubits)))
+    return inv.gates + (refl,) + circuit.gates
 
 
 def grover_iterate(circuit):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qrforest import cli
+from qrforest import cli, qae
 from qrforest.cli import _emit, _read_text, main
 from qrforest.compiler import compile_forest_op
 from qrforest.config import MAX_FOREST_BYTES, MAX_FOREST_SLOTS, MAX_INPUT_BYTES, MAX_PAIRS_LINE
@@ -333,6 +333,25 @@ def test_forecast_width_is_checked_before_compiling(tmp_path, capsys):
     assert peak < 8 << 20
     assert run_cli("reproduce", "--t", str(2**20)) == 4
     assert "25 qubits (5 work + 20 phase)" in capsys.readouterr().err
+
+
+def _no_simulation(circuit, t):
+    raise AssertionError("PhaseEstimation was built")
+
+
+def test_forecast_refuses_a_negative_seed_before_simulating(tmp_path, monkeypatch, capsys):
+    path = write_two_tree_forest(tmp_path)
+    monkeypatch.setattr(qae, "PhaseEstimation", _no_simulation)
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--seed", "-1") == 3
+    assert "seed" in capsys.readouterr().err
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--mode", "classical",
+                   "--seed", "-1") == 0
+
+
+def test_reproduce_refuses_a_negative_seed_before_simulating(monkeypatch, capsys):
+    monkeypatch.setattr(qae, "PhaseEstimation", _no_simulation)
+    assert run_cli("reproduce", "--seed", "-3") == 3
+    assert "seed" in capsys.readouterr().err
 
 
 def test_forecast_subnormal_delta(tmp_path, capsys):

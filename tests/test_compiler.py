@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     MIXED_SCHEMA,
     basis_state,
+    build_D,
     build_V,
     check_norm,
     document_inputs,
@@ -28,7 +29,7 @@ from conftest import (
 )
 from qrforest import gates as g
 from qrforest.compiler import (
-    build_D,
+    Register,
     compile_forest_op,
     compile_inverse,
     compile_plus1,
@@ -46,7 +47,7 @@ from qrforest.model import (
     generate_random_forest,
     walk_forest,
 )
-from qrforest.statevector import _REORDER, Register, StateVector
+from qrforest.statevector import _REORDER, StateVector
 
 
 def _run(width, gates, basis=0):

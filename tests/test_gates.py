@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import controlled, gate_matrix, gate_menu, pauli_z, random_unitary_2x2, ry, swap_as_cnots
+from conftest import reflection_about_zero
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
-from qrforest.gates import inverse, reflection_about_zero
+from qrforest.gates import inverse
 
 SQ2 = 1.0 / math.sqrt(2.0)
 

@@ -224,6 +224,26 @@ def test_engine_memory_does_not_grow_with_t():
     assert peak < 1 << 20
 
 
+def test_engine_memory_at_a_wide_shape():
+    # n = 2, h = 14, t = 4: 17 work qubits.  The engine holds Psi's conjugate
+    # and the running vector (2 MiB each) and the leaf ucr's 2^16 blocks for U
+    # and for U^-1 (4 MiB each); U's stay on the circuit once a run built them.
+    # Traced peaks: 15.3 MiB on a fresh circuit, 11.3 MiB on the second run.
+    # The gate-level reflection it replaced held 2^16 blocks more: 19.5 and
+    # 15.5 MiB.
+    circuit = compile_forest_op(*random_instance(2, 14, 5))
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            PhaseEstimation(circuit, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 17 << 20
+    assert peaks[1] < 13 << 20
+
+
 def test_boosted_success_rate_at_beta_point_three(shared_engines):
     forest = two_leaf_forest((0.1, 1.0), (0.5, 0.0))
     x = InputObject.of(0.2)

@@ -9,7 +9,8 @@ from conftest import basis_state, check_norm, gate_matrix, gate_menu, norm, prob
 from conftest import random_statevector, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
-from qrforest.statevector import Register, StateVector
+from qrforest.compiler import Register
+from qrforest.statevector import StateVector
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
