@@ -6,7 +6,6 @@ from .compiler import (
     CompiledCircuit,
     Register,
     compile_forest_op,
-    compile_inverse,
     compile_plus1,
     compile_times2,
     dump_circuit,

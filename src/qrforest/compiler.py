@@ -24,7 +24,7 @@ operator); the circuit itself only branches on node indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,11 @@ def leaf_angles(forest: RandomForest) -> np.ndarray:
     """``(n, 2^h)`` phi rotation half-angles, slot ``j`` for leaf ``2^h + j``;
     all in [0, pi/2]."""
     lo, hi = _label_range(forest)
+    roots = np.sqrt(np.clip((forest.leaf - lo) / (hi - lo), 0.0, 1.0))
     # math.asin per leaf: np.arcsin can differ by 1 ulp, which would change
-    # the ucr angles and dump_circuit.
-    ratios = ((forest.leaf - lo) / (hi - lo)).tolist()
-    return np.array([[math.asin(math.sqrt(min(1.0, max(0.0, r)))) for r in row] for row in ratios])
+    # the ucr angles and dump_circuit.  np.sqrt is correctly rounded, as
+    # math.sqrt is, so it may run in bulk.
+    return np.array(list(map(math.asin, roots.ravel().tolist()))).reshape(roots.shape)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def compile_plus1(level: int, outcomes: np.ndarray, lam: Register, psi: Register
 
 def _leaf_rotation_gate(angles: np.ndarray, lam: Register, psi: Register, phi: Register) -> g.Gate:
     rows = np.concatenate([np.zeros(angles.shape), 2.0 * angles], axis=1)
-    return g.ucr(lam.qubits + psi.qubits, phi.qubits[0], rows.ravel().tolist())
+    return g.ucr(lam.qubits + psi.qubits, phi.qubits[0], rows.ravel())
 
 
 def check_compilable(forest: RandomForest, x: InputObject) -> int:
@@ -148,11 +149,6 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
         num_qubits=num_qubits,
         height=h,
     )
-
-
-def compile_inverse(circuit: CompiledCircuit) -> CompiledCircuit:
-    """Gatewise inverse in reverse order, over the same registers."""
-    return replace(circuit, gates=tuple(g.inverse(gate) for gate in reversed(circuit.gates)))
 
 
 def _fmt_blocks(blocks: np.ndarray) -> str:
@@ -190,7 +186,7 @@ def dump_circuit(circuit: CompiledCircuit) -> str:
         else:
             sel = ",".join(f"q{q}" for q in gate.selects)
             line = f"ucr selects={sel} target=q{gate.target} angles=" + ",".join(
-                repr(a) for a in gate.params[0]
+                repr(a) for a in gate.params[0].tolist()
             )
         if gate.controls:
             line += " ctrl " + " ".join(f"q{q}={v}" for q, v in gate.controls)

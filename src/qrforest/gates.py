@@ -12,20 +12,19 @@ Conventions, fixed package-wide:
   * ucg/ucr select qubits are listed most significant first, so the block
     (angle) index is the integer read off the select qubits in list order.
 
-Parameters are held in one form each: ucg blocks as a read-only
-``(2^s, 2, 2)`` complex128 array, copied when the gate is built, and ucr
-angles as a tuple of Python floats.  Gates compare by value (arrays by
-``np.array_equal``), so ``inverse(inverse(g)) == g`` exactly; they are not
+Parameters are held in one form: a read-only array, copied when the gate
+is built -- ucg blocks as ``(2^s, 2, 2)`` complex128, ucr angles as
+``(2^s,)`` float64.  Gates compare by value (``np.array_equal``) and are not
 hashable.  For the simulator's view kernel every gate but swap has a
-``Gate.block_array``: the ucg blocks themselves, or one built on first use.
-The dense-matrix oracle the kernel is checked against lives with the tests,
-so the two share no code.
+``Gate.block_array``, built on each access: the ucg blocks themselves, a
+module constant for h and x, and the rotation blocks for a ucr.  The
+dense-matrix oracle the kernel is checked against, and the gate-level
+inverse, live with the tests, so the two share no code.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +39,8 @@ _ID = _read_only(np.eye(2, dtype=np.complex128))
 _X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 _Z = _read_only(np.diag(np.array([1, -1], dtype=np.complex128)))
 _NEG_ID = _read_only(-_ID)
+_H_BLOCKS = _H[None]  # views of read-only arrays, so read-only too
+_X_BLOCKS = _X[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +48,9 @@ class Gate:
     """One gate of kind h, x, swap, ucg or ucr, built by the functions below.
 
     ``params`` is ``(blocks,)`` for a ucg, the read-only ``(2^s, 2, 2)``
-    array, and ``(angles,)`` for a ucr, a tuple of floats; ``==`` compares
-    kind, qubits, controls and parameters by value.  Gates are not hashable.
+    array, and ``(angles,)`` for a ucr, the read-only ``(2^s,)`` array;
+    ``==`` compares kind, qubits, controls and parameters by value.  Gates
+    are not hashable.
     """
 
     kind: str
@@ -82,19 +84,20 @@ class Gate:
     def selects(self) -> tuple[int, ...]:
         return self.qubits[:-1]
 
-    @cached_property
+    @property
     def block_array(self) -> np.ndarray:
         """Parameters as a read-only ``(2^s, 2, 2)`` complex array indexed by
-        select value (``s = 0`` for h and x); the ucg blocks themselves, else
-        built on first use, then kept."""
+        select value (``s = 0`` for h and x): the ucg blocks themselves, a
+        module constant for h and x, and for a ucr blocks built on each
+        access and not kept."""
         if self.kind == "h":
-            return _H[None]
+            return _H_BLOCKS
         if self.kind == "x":
-            return _X[None]
+            return _X_BLOCKS
         if self.kind == "ucg":
             return self.params[0]
         if self.kind == "ucr":
-            half = np.asarray(self.params[0], dtype=np.float64) / 2.0
+            half = self.params[0] / 2.0
             blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
             blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(half)
             blocks[:, 1, 0] = np.sin(half)
@@ -135,24 +138,9 @@ def ucg(selects: tuple[int, ...], target: int, blocks) -> Gate:
 
 
 def ucr(selects: tuple[int, ...], target: int, angles) -> Gate:
-    angles = tuple(float(a) for a in angles)
+    angles = np.array(angles, dtype=np.float64)  # a copy, made read-only below
+    if angles.ndim != 1:
+        raise ValueError(f"ucr angles must be one flat sequence, got shape {angles.shape}")
     if len(angles) != 2 ** len(selects):
         raise ValueError(f"ucr over {len(selects)} selects needs {2**len(selects)} angles, got {len(angles)}")
-    return Gate("ucr", (*selects, target), (angles,))
-
-
-def inverse(gate: Gate) -> Gate:
-    """Inverse gate: ucg conjugate-transposes each block (and is returned
-    itself when that changes no block, as for X/I and Z/-I blocks), ucr
-    negates its angles, the rest are self-inverse."""
-    if gate.kind == "ucg":
-        (blocks,) = gate.params
-        dagger = np.conjugate(blocks.swapaxes(1, 2), order="C")
-        if np.array_equal(dagger, blocks):
-            return gate
-        return Gate("ucg", gate.qubits, (_read_only(dagger),), gate.controls)
-    if gate.kind == "ucr":
-        (angles,) = gate.params
-        return Gate("ucr", gate.qubits, (tuple(-a for a in angles),), gate.controls)
-    return gate  # h, x, swap (and cnot as controlled x) are involutions
-
+    return Gate("ucr", (*selects, target), (_read_only(angles),))

@@ -18,9 +18,10 @@ Mosca, quant-ph/9708016); Q is unitary, so its readout needs only
 ``(2 Re fft((t - m) g(m))[k] - t g(0)) / t^2`` over m = 0 .. t-1, clipped at
 0 as rounding can leave a zero a few ulps below.  The engine holds Psi and
 one running vector; each of ``t - 1`` steps negates its odd amplitudes (V:
-phi is the last work qubit), applies D = U (2|0><0| - I) U^-1 as undo (the
-bound U^-1), the sign step (negate every amplitude but that of the all-zero
-state, index 0 in any axis order) and redo (the bound U), and reads
+phi is the last work qubit), applies D = U (2|0><0| - I) U^-1 as undo (U's
+bound steps run backwards, each block transposed: every block of U is
+real), the sign step (negate every amplitude but that of the all-zero
+state, index 0 in any axis order) and redo (U's bound steps), and reads
 ``g(m)``.  The width cap counts the textbook circuit's work + phase qubits.
 
 The outcome distribution is a deterministic function of (forest, input, t)
@@ -40,11 +41,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compiler import CompiledCircuit, check_compilable, compile_forest_op, compile_inverse
+from .compiler import CompiledCircuit, check_compilable, compile_forest_op
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 from .model import InputObject, RandomForest, beta_to_R
-from .statevector import StateVector
+from .statevector import StateVector, invert
 
 # Median-boost repetition count: with single-run failure <= 1 - 8/pi^2 < 0.19,
 # Hoeffding needs r >= 5.2 ln(1/delta) for the median to fail with
@@ -161,16 +162,17 @@ def check_width(work_qubits: int, t: int) -> None:
 class PhaseEstimation:
     """Exact QPE outcome distribution for one (circuit, t) pair:
     ``max(0, (2 Re fft((t - m) g) - t g(0)) / t^2)`` from ``g(m)`` streamed
-    off one running vector (see above).  U is bound once as ``redo`` and
-    U^-1 once as ``undo``; a step is V, undo, the sign step, redo.  Only the
-    distribution and ``t`` are kept."""
+    off one running vector (see above).  U is bound once as ``redo``, and
+    ``undo`` is ``redo`` run backwards (``statevector.invert``), sharing its
+    views and block arrays; a step is V, undo, the sign step, redo.  Only
+    the distribution and ``t`` are kept."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
         self.t = t
         sv = StateVector(circuit.num_qubits)
         redo = sv.bind(circuit.gates)
-        undo = sv.bind(compile_inverse(circuit).gates)
+        undo = invert(redo)
         v = sv.run(redo).amplitudes  # the running vector, Psi until the first step
         psi_conj = v.conj()
         g = np.empty(t, dtype=np.complex128)

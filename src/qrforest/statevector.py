@@ -10,13 +10,16 @@ that setup once per gate and ``run`` only the arithmetic, so a gate list
 applied many times is bound once.  A swap without controls moves no data:
 ``bind`` relabels which buffer axis holds each of its qubits, and one reorder
 step at the end of the list, if needed, copies the axes back into qubit
-order.  A state is exclusively owned while being mutated.  Dense matrices
+order.  ``invert`` turns bound steps into those of the inverse gate list
+without binding again: the same views in reverse order, each block
+conjugate-transposed (for real entries, only a new order of the same
+arrays).  A state is exclusively owned while being mutated.  Dense matrices
 never appear here; the dense oracle the kernel is tested against, and the
 readout helpers only tests need, live with the tests.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,7 +116,7 @@ class StateVector:
             if c is None:
                 b[...], a[...] = a, b.copy()  # b is copied before it is overwritten
             elif c is _REORDER:
-                a[...] = b.copy()  # b is a transposed view of a
+                a[...] = b.copy()  # one of a and b is a transposed view of the other
             else:
                 c00, c01, c10, c11 = c
                 a[...], b[...] = c00 * a + c01 * b, c10 * a + c11 * b
@@ -126,3 +129,26 @@ class StateVector:
     def apply_all(self, gate_seq: Iterable[g.Gate]) -> "StateVector":
         """Apply gates in place; all are checked before any is applied."""
         return self.run(self.bind(gate_seq))
+
+
+def invert(steps: Sequence[tuple]) -> list[tuple]:
+    """Steps that undo ``steps`` from ``bind``, over the same buffer: the
+    steps in reverse order, a controlled-swap exchange as it is, the reorder
+    ``a <- b`` as ``b <- a`` (which permutes by the inverse axis order), and a
+    block step with its entries conjugate-transposed.  Real entries, as in
+    every gate of the forecasting operator, are reused as they are, only
+    reordered; complex ones are conjugated into new arrays."""
+    undo = []
+    for a, b, c in reversed(steps):
+        if c is None:
+            undo.append((a, b, None))
+        elif c is _REORDER:
+            undo.append((b, a, _REORDER))
+        else:
+            # bind takes all four entries as views of one block array, so
+            # one check of the array that owns them covers the step.
+            if c[0].base.imag.any():
+                c = tuple(map(np.conj, c))
+            c00, c01, c10, c11 = c
+            undo.append((a, b, (c00, c10, c01, c11)))
+    return undo

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qrforest import gates as g
 from qrforest import qae
-from qrforest.compiler import compile_inverse
 from qrforest.exceptions import ResourceLimitError
 from qrforest.model import EQUALS, Attribute, InputObject, RandomForest, generate_random_forest
 from qrforest.reference import reference_forest, reference_input
@@ -271,10 +270,32 @@ def controlled(gate, qubit, value=1):
         return g.ucg((qubit, *gate.selects), gate.target, new)
     if gate.kind == "ucr":
         (angles,) = gate.params
-        pad = (0.0,) * len(angles)
-        new = angles + pad if value == 0 else pad + angles
+        pad = np.zeros_like(angles)
+        new = np.concatenate((angles, pad) if value == 0 else (pad, angles))
         return g.ucr((qubit, *gate.selects), gate.target, new)
     return g.Gate(gate.kind, gate.qubits, gate.params, gate.controls + ((qubit, value),))
+
+
+def inverse(gate):
+    """Inverse gate: ucg conjugate-transposes each block (and is returned
+    itself when that changes no block, as for X/I and Z/-I blocks), ucr
+    negates its angles, the rest are self-inverse."""
+    if gate.kind == "ucg":
+        (blocks,) = gate.params
+        dagger = np.conjugate(blocks.swapaxes(1, 2))
+        if np.array_equal(dagger, blocks):
+            return gate
+        return replace(g.ucg(gate.selects, gate.target, dagger), controls=gate.controls)
+    if gate.kind == "ucr":
+        (angles,) = gate.params
+        return replace(g.ucr(gate.selects, gate.target, -angles), controls=gate.controls)
+    return gate  # h, x, swap (and cnot as controlled x) are involutions
+
+
+def compile_inverse(circuit):
+    """Gatewise inverse in reverse order, over the same registers: the
+    textbook oracle's U^-1, apart from the engine's inverted steps."""
+    return replace(circuit, gates=tuple(inverse(gate) for gate in reversed(circuit.gates)))
 
 
 def pauli_z(q):

@@ -11,9 +11,9 @@ import time
 import numpy as np
 
 from conftest import gate_matrix, gate_menu, norm, probability, random_instance, random_statevector
-from conftest import build_D, build_V, swap_as_cnots
+from conftest import build_D, build_V, compile_inverse, swap_as_cnots
 from qrforest import gates as g
-from qrforest.compiler import compile_forest_op, compile_inverse
+from qrforest.compiler import compile_forest_op
 from qrforest.model import beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     QaeConfig,

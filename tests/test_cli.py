@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrforest import cli, qae
 from qrforest.cli import _emit, _read_text, main
@@ -17,7 +19,7 @@ from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import Attribute, RandomForest, beta_to_R
 from qrforest.qae import MAX_REPETITIONS, QaeConfig, estimate_with_boosting
 from qrforest.reference import reference_forest, reference_input
-from conftest import two_leaf_forest
+from conftest import forest_documents, two_leaf_forest
 
 
 def run_cli(*argv):
@@ -517,3 +519,120 @@ def test_structured_output_refuses_non_finite_numbers():
     args = argparse.Namespace(format="structured", out=None)
     with pytest.raises(ValueError, match="not JSON compliant"):
         _emit({"value": math.nan}, "", args)
+
+
+# The CLI property's grammar: per command, each flag's valid and invalid
+# values.  A value "@name" is a file the test writes into its temporary
+# directory ("@missing" is never written, "@" is the directory itself); the
+# caps are patched small so that an over-cap file costs a few bytes.
+_SMALL_CAPS = {"MAX_FOREST_BYTES": 1 << 15, "MAX_INPUT_BYTES": 64, "MAX_PAIRS_LINE": 64}
+_FILES = {
+    "forest3": save_forest(two_leaf_forest((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))),
+    "flat": save_forest(two_leaf_forest((1.0, 1.0), (1.0, 1.0))),
+    "forest_big": save_forest(two_leaf_forest((0.0, 1.0))).ljust(1 << 16),
+    "nested": "[" * 20_000,
+    "input": "0.5\n",
+    "input_big": "0.5".ljust(65),
+    "pairs": "1 2\n3,4\n\n0 0\n",
+    "pairs_bad": "1 2 3\n",
+    "pairs_nonfinite": "nan 1\n",
+    "pairs_long": "1 2".ljust(65) + "\n",
+    "pairs_huge": "1e308 -1e308\n-1e308 1e308\n",
+    "garbage": b"\xff\xfe\x00{",
+}
+_MISSING = ("@missing", "@missing/file", "@", "/dev/null", "@garbage")
+_OUT = (("@out", "-"), ("@", "@missing/out"))
+_FORMAT = (("text", "structured"), ("json",))
+_SEED = (("0", "7", str(2**70)), ("-1", "x"))
+_T = (("2", "4", "8"), ("3", "0", "-2", "x", str(2**30)))
+_GRAMMAR = {
+    "generate": {
+        "-n": (("1", "2", "3"), ("0", "-1", "x")),
+        "--height": (("1", "2", "3"), ("0", "-1", "40", "x")),
+        "--attrs": (("real", "real,disc:2", "disc:3,real", f"disc:{2**53}"), ("disc:0", "disc:x", "bogus", "",
+                                                                            f"disc:{2**60}")),
+        "--range": (("0:1", "-2:5", "1:1", "1:0"), ("x", "0:1:2", "nan:1", "-inf:1", "-1e308:1e308")),
+        "--seed": _SEED,
+        "--out": _OUT,
+    },
+    "forecast": {
+        "--forest": (("@forest", "@forest3", "@flat"), ("@forest_big", "@nested", *_MISSING)),
+        "--input": (("fit", "fit", "0.5", "1,1", "@input"),
+                    ("", "nan", "inf", "-0", "1e400", "@input_big", *_MISSING)),
+        "--mode": (("classical", "quantum", "both"), ("bogus",)),
+        "--target": (("beta", "r"), ("bogus",)),
+        "--t": _T,
+        "--reps": (("1", "3"), ("2", "0", "-1", str(MAX_REPETITIONS + 2), "x")),
+        "--delta": (("0.1", "0.3"), ("0", "0.5", "nan", "inf", "-1", "x")),
+        "--seed": _SEED,
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+    "reproduce": {
+        "--runs": (("1", "3"), ("0", "-1", str(MAX_REPETITIONS + 1), "x")),
+        "--t": _T,
+        "--seed": _SEED,
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+    "metrics": {
+        "--pairs": (("@pairs", "@pairs_huge"), ("@pairs_bad", "@pairs_nonfinite", "@pairs_long", *_MISSING)),
+        "--metrics": (("MAE", "MAE,RMSE", "sMAPE,MAPE"), ("bogus", "", ",")),
+        "--format": _FORMAT,
+        "--out": _OUT,
+    },
+}
+_REQUIRED = {"-n", "--height", "--attrs", "--forest", "--input", "--pairs"}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command, its required flags nearly always and each other flag half
+    the time, each with a value that is valid seven times in eight, and now
+    and then one stray token or an unknown command."""
+    command = draw(st.sampled_from(tuple(_GRAMMAR))) if draw(st.integers(0, 19)) else "bogus"
+    argv = [command]
+    for flag, (valid, invalid) in _GRAMMAR.get(command, {}).items():
+        if draw(st.integers(0, 19 if flag in _REQUIRED else 1)):
+            argv += [flag, draw(st.sampled_from(valid if draw(st.integers(0, 7)) else invalid))]
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "-n", "--t", "1"))))
+    return argv
+
+
+def _mutated(draw, doc):
+    """The document, or (one time in three) with one field replaced by a
+    value of another type or one field dropped."""
+    junk = st.one_of(st.none(), st.booleans(), st.sampled_from((0, -1, 3, 2**70, 1.5, "1", [], {})))
+    choice = draw(st.integers(0, 8))
+    if choice == 1:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(junk)
+    elif choice == 2:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif choice == 3 and doc["trees"]:
+        tree = doc["trees"][draw(st.integers(0, len(doc["trees"]) - 1))]
+        tree[draw(st.sampled_from(("nodes", "leaves")))] = draw(junk)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, data):
+    """Whatever the arguments, ``main`` returns 0, 3 or 4 or argparse exits
+    with 2; no other exception escapes."""
+    for name, value in _SMALL_CAPS.items():
+        monkeypatch.setattr(cli, name, value)
+    for name, content in _FILES.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    doc = data.draw(forest_documents(max_h=3))
+    fit = ",".join("1" * len(doc["schema"]))  # an input every schema admits
+    (tmp_path / "forest").write_text(json.dumps(_mutated(data.draw, doc)))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else fit if a == "fit" else a
+            for a in data.draw(_cli_argv())]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        assert e.code == 2, argv
+    else:
+        assert code in (0, 3, 4), argv
+    capsys.readouterr()

@@ -15,6 +15,7 @@ from conftest import (
     build_D,
     build_V,
     check_norm,
+    compile_inverse,
     document_inputs,
     forest_documents,
     gate_matrix,
@@ -31,7 +32,6 @@ from qrforest import gates as g
 from qrforest.compiler import (
     Register,
     compile_forest_op,
-    compile_inverse,
     compile_plus1,
     compile_times2,
     dump_circuit,
@@ -130,6 +130,16 @@ def test_angle_table_formula_and_range():
             a = angles[i, j]
             assert 0.0 <= a <= math.pi / 2
             assert a == pytest.approx(math.asin(math.sqrt((forest.leaf[i, j] - lo) / (hi - lo))))
+
+
+def test_leaf_angles_equal_the_per_leaf_loop_bit_for_bit():
+    # The bulk square root, clip and math.asin against the per-leaf form
+    # dump_circuit's golden was captured with; np.arcsin would differ by ulps.
+    forest = generate_random_forest(8, 6, MIXED_SCHEMA, (-3.0, 7.0), 43)
+    lo, hi = forest.y_min, forest.y_max
+    ratios = ((forest.leaf - lo) / (hi - lo)).tolist()
+    loop = [[math.asin(math.sqrt(min(1.0, max(0.0, r)))) for r in row] for row in ratios]
+    assert leaf_angles(forest).tolist() == loop
 
 
 def _tree_op(forest, x):

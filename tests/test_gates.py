@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import controlled, gate_matrix, gate_menu, pauli_z, random_unitary_2x2, ry, swap_as_cnots
-from conftest import reflection_about_zero
+from conftest import inverse, reflection_about_zero
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
-from qrforest.gates import inverse
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -98,7 +97,10 @@ def test_block_array_is_lowered_once_and_read_only(kind):
     blocks = 1 << len(gate.selects)
     arr = gate.block_array
     assert arr.shape == (blocks, 2, 2) and arr.dtype == np.complex128
-    assert gate.block_array is arr
+    if kind in ("ry", "ucr"):  # built on each access, not kept
+        np.testing.assert_array_equal(gate.block_array, arr)
+    else:
+        assert gate.block_array is arr
     assert not arr.flags.writeable
     if gate.kind == "ucg":  # "u" too: a ucg's blocks are its block array
         assert arr is gate.params[0]
@@ -124,6 +126,20 @@ def test_parameters_are_copied_and_compared_by_value():
     assert gate != g.ucg((1, 0), 2, held) and gate != g.ucr((0, 1), 2, [0.0] * 4)
     with pytest.raises(TypeError):
         hash(gate)
+
+
+def test_ucr_angles_are_one_read_only_array():
+    source = [0.25, -1.5, 3.0, 0.0]
+    gate = g.ucr((0, 1), 2, source)
+    (angles,) = gate.params
+    assert angles.shape == (4,) and angles.dtype == np.float64 and not angles.flags.writeable
+    array_source = np.array(source)
+    from_array = g.ucr((0, 1), 2, array_source)
+    array_source[0] = 9.0  # copied on construction
+    assert from_array == gate and from_array.params[0] is not array_source
+    for nested in ([[0.25, -1.5], [3.0, 0.0]], np.zeros((2, 2)), [[0.25], [-1.5, 3.0, 0.0]], 0.5):
+        with pytest.raises(ValueError):
+            g.ucr((0, 1), 2, nested)
 
 
 def test_block_and_angle_counts_validated():

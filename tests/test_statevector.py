@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis_state, check_norm, gate_matrix, gate_menu, norm, probability
-from conftest import random_statevector, ry, swap_as_cnots
+from conftest import basis_state, check_norm, gate_matrix, gate_menu, inverse, norm, probability
+from conftest import random_instance, random_statevector, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
-from qrforest.compiler import Register
-from qrforest.statevector import StateVector
+from qrforest.compiler import Register, compile_forest_op
+from qrforest.statevector import _REORDER, StateVector, invert
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -77,6 +77,53 @@ def test_bound_steps_run_the_gate_list(n, seed, picks):
     for gate in gates:
         one_by_one.apply(gate)
     np.testing.assert_array_equal(sv.amplitudes, one_by_one.amplitudes)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+)
+def test_inverted_steps_undo_the_bound_steps(n, seed, picks):
+    """``run(invert(steps))`` undoes ``run(steps)`` to 1e-12, on gate lists
+    with complex blocks, controls and relabelling swaps, and from any state
+    equals the oracle's gate-level inverse list applied one gate at a time."""
+    rng = np.random.default_rng(seed)
+    # A fresh menu per pick puts swaps on different pairs, so the closing
+    # reorder can be a cycle, which is not its own inverse.
+    gates = [gate_menu(n, rng)[i][1] for i in picks]
+    state = random_statevector(n, rng)
+    sv = StateVector(n, state)
+    steps = sv.bind(gates)
+    undo = invert(steps)
+    sv.run(steps).run(undo)
+    assert np.abs(sv.amplitudes - state).max() < 1e-12
+    sv.run(undo)
+    oracle = StateVector(n, state)
+    for gate in reversed(gates):
+        oracle.apply(inverse(gate))
+    assert np.abs(sv.amplitudes - oracle.amplitudes).max() < 1e-12
+
+
+def test_invert_reuses_the_forecasting_steps():
+    """U's blocks are real, so its inverted steps hold U's own views and
+    block entries (``is``), in reverse order: no second block set exists."""
+    for n, h in ((1, 3), (4, 3), (8, 4)):
+        circuit = compile_forest_op(*random_instance(n, h, 70 + h))
+        sv = StateVector(circuit.num_qubits)
+        redo = sv.bind(circuit.gates)
+        undo = invert(redo)
+        assert len(undo) == len(redo) and redo[-1][2] is _REORDER
+        for (a, b, c), (ra, rb, rc) in zip(undo, reversed(redo)):
+            if c is _REORDER:
+                assert a is rb and b is ra and rc is _REORDER
+                continue
+            assert a is ra and b is rb
+            c00, c01, c10, c11 = c
+            assert c00 is rc[0] and c01 is rc[2] and c10 is rc[1] and c11 is rc[3]
+        sv.run(redo).run(undo)
+        assert np.abs(sv.amplitudes - basis_state(circuit.num_qubits, 0).amplitudes).max() < 1e-12
 
 
 def test_self_inverse_gates_square_to_identity():
