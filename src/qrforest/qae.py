@@ -17,12 +17,16 @@ Mosca, quant-ph/9708016); Q is unitary, so its readout needs only
 ``g(m) = <Psi|Q^m Psi>``: outcome ``k`` has probability
 ``(2 Re fft((t - m) g(m))[k] - t g(0)) / t^2`` over m = 0 .. t-1, clipped at
 0 as rounding can leave a zero a few ulps below.  The engine holds Psi and
-one running vector; each of ``t - 1`` steps negates its odd amplitudes (V:
-phi is the last work qubit), applies D = U (2|0><0| - I) U^-1 as undo (U's
-bound steps run backwards, each block transposed: every block of U is
-real), the sign step (negate every amplitude but that of the all-zero
-state, index 0 in any axis order) and redo (U's bound steps), and reads
-``g(m)``.  The width cap counts the textbook circuit's work + phase qubits.
+one running vector, both in the axis order U's bound steps end in (its swaps
+only relabel axes).  Each of ``t - 1`` steps negates the amplitudes where
+phi, the last work qubit, reads 1 on the buffer axis the axis map gives it
+(V), applies D = U (2|0><0| - I) U^-1 as undo (U's bound steps run
+backwards, each block transposed: every block of U is real; they end in
+qubit order), the sign step (negate every amplitude but that of the
+all-zero state, index 0 in any axis order) and redo (U's bound steps), and
+reads ``g(m)`` from Psi and the running vector held in the same order, so
+no step copies the state.  The width cap counts the textbook circuit's
+work + phase qubits.
 
 The outcome distribution is a deterministic function of (forest, input, t)
 and is simulated once per call of ``sample_outcomes``; the repetitions of
@@ -164,21 +168,25 @@ class PhaseEstimation:
     ``max(0, (2 Re fft((t - m) g) - t g(0)) / t^2)`` from ``g(m)`` streamed
     off one running vector (see above).  U is bound once as ``redo``, and
     ``undo`` is ``redo`` run backwards (``statevector.invert``), sharing its
-    views and block arrays; a step is V, undo, the sign step, redo.  Only
-    the distribution and ``t`` are kept."""
+    views and block arrays; a step is V, undo, the sign step, redo.  The
+    loop runs in U's output axis order: V negates the view where phi's
+    buffer axis, through ``bind``'s axis map, reads 1.  Only the
+    distribution and ``t`` are kept."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
         self.t = t
-        sv = StateVector(circuit.num_qubits)
-        redo = sv.bind(circuit.gates)
+        w = circuit.num_qubits
+        sv = StateVector(w)
+        redo, axis = sv.bind(circuit.gates)
         undo = invert(redo)
         v = sv.run(redo).amplitudes  # the running vector, Psi until the first step
+        phi_one = v.reshape((2,) * w)[(slice(None),) * axis[w - 1] + (1, ...)]  # V's view
         psi_conj = v.conj()
         g = np.empty(t, dtype=np.complex128)
         g[0] = np.add.reduce(psi_conj * v)  # a plain sum: np.vdot may start BLAS threads
         for m in range(1, t):
-            v[1::2] *= -1
+            phi_one *= -1
             sv.run(undo)
             v *= -1  # 2|0><0| - I: every sign but the all-zero state's
             v[0] = -v[0]

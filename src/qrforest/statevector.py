@@ -2,20 +2,22 @@
 
 A ``StateVector`` holds 2^N complex128 amplitudes; qubit 0 is the most
 significant bit of the basis index (so |q0 q1 ... q_{N-1}> reads left to
-right as a binary number).  Gates are applied in place by one view kernel:
+right as a binary number).  Gates run in place through one view kernel:
 the amplitudes are reshaped to a ``(2,) * N`` array, basic indexing fixes
-the control and target axes, and the gate's 2x2 blocks combine the two
-resulting views (after Häner and Steiger, arXiv:1704.01127).  ``bind`` does
-that setup once per gate and ``run`` only the arithmetic, so a gate list
-applied many times is bound once.  A swap without controls moves no data:
-``bind`` relabels which buffer axis holds each of its qubits, and one reorder
-step at the end of the list, if needed, copies the axes back into qubit
-order.  ``invert`` turns bound steps into those of the inverse gate list
-without binding again: the same views in reverse order, each block
-conjugate-transposed (for real entries, only a new order of the same
-arrays).  A state is exclusively owned while being mutated.  Dense matrices
-never appear here; the dense oracle the kernel is tested against, and the
-readout helpers only tests need, live with the tests.
+the control axes and two values of the gate's own axes, and a 2x2 block
+combines the two resulting views (after Häner and Steiger, arXiv:1704.01127).
+``bind`` does that setup once per gate and ``run`` only the arithmetic, so a
+gate list applied many times is bound once.  Every bound step is of that one
+kind: a controlled swap is the X block over the views where its two qubits
+differ, and an uncontrolled swap is no step at all, only a relabel of which
+buffer axis holds each of its qubits.  A bound list therefore leaves the
+buffer in the axis order ``bind`` returns with it; ``apply`` copies the axes
+back into qubit order once, after the list.  ``invert`` turns bound steps
+into those of the inverse gate list without binding again: the same views
+in reverse order, each block conjugate-transposed (for real entries, only a
+new order of the same arrays).  A state is exclusively owned while being
+mutated.  Dense matrices never appear here; the dense oracle the kernel is
+tested against, and the readout helpers only tests need, live with the tests.
 """
 from __future__ import annotations
 
@@ -26,9 +28,6 @@ import numpy as np
 from . import gates as g
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
-
-# The third entry of ``bind``'s final step when swaps left the qubits on other axes.
-_REORDER = "reorder"
 
 
 class StateVector:
@@ -55,15 +54,17 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         return self._amp
 
-    def bind(self, gates: Iterable[g.Gate]) -> list[tuple]:
+    def bind(self, gates: Iterable[g.Gate]) -> tuple[list[tuple], tuple[int, ...]]:
         """Check the gates, then fix per gate two views of this state's buffer
-        (the amplitudes as a ``(2,) * n`` array, with the control axes and each
-        target value fixed) and, but for swap, its 2x2 block entries broadcast
-        over them.  An uncontrolled swap emits no step: it exchanges which
-        buffer axes its two qubits hold, and later gates index the axes their
-        qubits hold then.  If that map is not the identity after the last gate,
-        one reorder step copies the axes back, so every ``run`` of the steps
-        starts and ends with axis ``q`` holding qubit ``q``."""
+        (the amplitudes as a ``(2,) * n`` array with the control axes fixed,
+        and the target axis at 0 and at 1, or a controlled swap's two axes at
+        (1, 0) and (0, 1)) and the four entries of its 2x2 blocks broadcast
+        over them (a swap's block is X; a ucr's entries are C-contiguous
+        copies).  Every step is of this one kind.  An uncontrolled swap emits
+        no step: it exchanges which buffer axes its two qubits hold, and later
+        gates index the axes their qubits hold then.  Returns the steps, which
+        expect the buffer in qubit order, and ``axis``: ``axis[q]`` is the
+        buffer axis that holds qubit ``q`` after they run."""
         n = self.num_qubits
         psi = self._amp.reshape((2,) * n)
         axis = list(range(n))  # axis[q]: the buffer axis that holds qubit q
@@ -85,70 +86,65 @@ class StateVector:
             if gate.kind == "swap":
                 qa, qb = axis[gate.qubits[0]], axis[gate.qubits[1]]
                 at[qa], at[qb] = 1, 0
-                v10 = psi[(*at, ...)]
+                a = psi[(*at, ...)]
                 at[qa], at[qb] = 0, 1
-                steps.append((v10, psi[(*at, ...)], None))
-                continue
-            selects, target = [axis[q] for q in gate.selects], axis[gate.target]
-            at[target] = 0
-            a = psi[(*at, ...)]
-            at[target] = 1
+                selects, blocks = [], g.x(0).block_array
+            else:
+                selects, target = [axis[q] for q in gate.selects], axis[gate.target]
+                at[target] = 0
+                a = psi[(*at, ...)]
+                at[target] = 1
+                blocks = gate.block_array
             b = psi[(*at, ...)]
             # Block k is indexed by the selects in list order; the views hold
             # them in buffer-axis order, with a length-1 axis for every other free axis.
             order = sorted(range(len(selects)), key=selects.__getitem__)
             shape = [2 if ax in selects else 1 for ax in range(n) if type(at[ax]) is slice]
             c = (
-                gate.block_array.reshape((2,) * len(selects) + (2, 2))
+                blocks.reshape((2,) * len(selects) + (2, 2))
                 .transpose(*order, -2, -1)
                 .reshape(*shape, 2, 2)
             )
-            steps.append((a, b, (c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1])))
-        if axis != list(range(n)):
-            steps.append((psi, psi.transpose(axis), _REORDER))
-        return steps
+            entries = tuple(c[..., i, j] for i in (0, 1) for j in (0, 1))
+            if gate.kind == "ucr":
+                # Its blocks are built for this call and dropped after it, so
+                # its entries are copied into buffer order at no lasting cost;
+                # a ucg's stay views of the blocks its gate holds, which
+                # copies would double.
+                entries = tuple(map(np.ascontiguousarray, entries))
+            steps.append((a, b, entries))
+        return steps, tuple(axis)
 
     def run(self, steps: Iterable[tuple]) -> "StateVector":
-        """Apply steps from ``bind`` in place: only the arithmetic
-        ``a, b = c00 a + c01 b, c10 a + c11 b``, the controlled-swap exchange,
-        or the reorder copy that puts every qubit back on its own axis."""
-        for a, b, c in steps:
-            if c is None:
-                b[...], a[...] = a, b.copy()  # b is copied before it is overwritten
-            elif c is _REORDER:
-                a[...] = b.copy()  # one of a and b is a transposed view of the other
-            else:
-                c00, c01, c10, c11 = c
-                a[...], b[...] = c00 * a + c01 * b, c10 * a + c11 * b
+        """Apply steps from ``bind`` or ``invert`` in place: per step only the
+        arithmetic ``a, b = c00 a + c01 b, c10 a + c11 b``.  The buffer is
+        left in the axis order the steps end in."""
+        for a, b, (c00, c01, c10, c11) in steps:
+            a[...], b[...] = c00 * a + c01 * b, c10 * a + c11 * b
         return self
 
-    def apply(self, gate: g.Gate) -> "StateVector":
-        """Apply one gate in place."""
-        return self.run(self.bind((gate,)))
-
-    def apply_all(self, gate_seq: Iterable[g.Gate]) -> "StateVector":
-        """Apply gates in place; all are checked before any is applied."""
-        return self.run(self.bind(gate_seq))
+    def apply(self, *gates: g.Gate) -> "StateVector":
+        """Apply gates in place: bind them all (so all are checked before any
+        is applied), run the steps, then copy the buffer back into qubit order
+        once if swaps left it in another."""
+        steps, axis = self.bind(gates)
+        self.run(steps)
+        if axis != tuple(range(self.num_qubits)):
+            psi = self._amp.reshape((2,) * self.num_qubits)
+            psi[...] = psi.transpose(axis).copy()
+        return self
 
 
 def invert(steps: Sequence[tuple]) -> list[tuple]:
     """Steps that undo ``steps`` from ``bind``, over the same buffer: the
-    steps in reverse order, a controlled-swap exchange as it is, the reorder
-    ``a <- b`` as ``b <- a`` (which permutes by the inverse axis order), and a
-    block step with its entries conjugate-transposed.  Real entries, as in
-    every gate of the forecasting operator, are reused as they are, only
-    reordered; complex ones are conjugated into new arrays."""
+    steps in reverse order, each with its entries conjugate-transposed.  They
+    start in the axis order ``steps`` end in and end in qubit order.  Real
+    entries, as in every gate of the forecasting operator, are reused as
+    they are, only reordered; complex ones are conjugated into new arrays."""
     undo = []
     for a, b, c in reversed(steps):
-        if c is None:
-            undo.append((a, b, None))
-        elif c is _REORDER:
-            undo.append((b, a, _REORDER))
-        else:
-            # bind takes all four entries as views of one block array, so
-            # one check of the array that owns them covers the step.
-            if c[0].base.imag.any():
-                c = tuple(map(np.conj, c))
-            c00, c01, c10, c11 = c
-            undo.append((a, b, (c00, c10, c01, c11)))
+        if any(e.imag.any() for e in c):
+            c = tuple(map(np.conj, c))
+        c00, c01, c10, c11 = c
+        undo.append((a, b, (c00, c10, c01, c11)))
     return undo

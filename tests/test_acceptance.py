@@ -37,7 +37,7 @@ def test_criterion_1_exact_amplitude_oracle():
         forest, x = random_instance(n, h, 1000 + seed)
         seed += 1
         circuit = compile_forest_op(forest, x)
-        state = StateVector(circuit.num_qubits).apply_all(circuit.gates)
+        state = StateVector(circuit.num_qubits).apply(*circuit.gates)
         p = probability(state, circuit.register("phi").qubits, 1)
         worst = max(worst, abs(p - beta_classical(forest, x)))
         assert abs(p - beta_classical(forest, x)) < 1e-9
@@ -159,13 +159,13 @@ def test_criterion_6_simulator_correctness_suite():
     for trial in range(20):
         state = random_statevector(circuit.num_qubits, rng)
         sv = StateVector(circuit.num_qubits, state)
-        sv.apply_all(circuit.gates).apply_all(inverse_circuit.gates)
+        sv.apply(*circuit.gates).apply(*inverse_circuit.gates)
         assert np.abs(sv.amplitudes - state).max() < 1e-10
         sv = StateVector(circuit.num_qubits, state)
-        sv.apply_all(d_gates).apply_all(d_gates)
+        sv.apply(*d_gates).apply(*d_gates)
         assert np.abs(sv.amplitudes - state).max() < 1e-10
         sv = StateVector(circuit.num_qubits, state)
-        sv.apply_all(v_gates).apply_all(v_gates)
+        sv.apply(*v_gates).apply(*v_gates)
         assert np.abs(sv.amplitudes - state).max() < 1e-10
 
     sv = StateVector(6)

@@ -47,11 +47,11 @@ from qrforest.model import (
     generate_random_forest,
     walk_forest,
 )
-from qrforest.statevector import _REORDER, StateVector
+from qrforest.statevector import StateVector
 
 
 def _run(width, gates, basis=0):
-    return basis_state(width, basis).apply_all(gates)
+    return basis_state(width, basis).apply(*gates)
 
 
 def test_times2_single_step():
@@ -74,7 +74,7 @@ def test_times2_repeated_matches_integer_shift(h):
     sv = basis_state(h + 1, 1)
     value = 1
     for _ in range(h):
-        sv.apply_all(compile_times2(psi))
+        sv.apply(*compile_times2(psi))
         value *= 2
     np.testing.assert_allclose(sv.amplitudes, basis_state(h + 1, value).amplitudes, atol=0)
 
@@ -272,7 +272,7 @@ def test_walk_stage_structure_matches_height():
 def test_inverse_undoes_forest_op(reference):
     forest, x = reference
     circuit = compile_forest_op(forest, x)
-    sv = _run(circuit.num_qubits, circuit.gates).apply_all(compile_inverse(circuit).gates)
+    sv = _run(circuit.num_qubits, circuit.gates).apply(*compile_inverse(circuit).gates)
     expected = StateVector(circuit.num_qubits).amplitudes
     assert np.abs(sv.amplitudes - expected).max() < 1e-10
 
@@ -292,7 +292,7 @@ def test_inverse_on_random_fifty_gate_circuit():
     circuit = replace(base, gates=tuple(gates))
     state = random_statevector(circuit.num_qubits, rng)
     sv = StateVector(circuit.num_qubits, state)
-    sv.apply_all(circuit.gates).apply_all(compile_inverse(circuit).gates)
+    sv.apply(*circuit.gates).apply(*compile_inverse(circuit).gates)
     assert np.abs(sv.amplitudes - state).max() < 1e-10
 
 
@@ -300,21 +300,21 @@ def test_V_flips_phase_of_marked_results(reference):
     circuit = compile_forest_op(*reference)
     v = build_V(circuit)
     phi = circuit.register("phi").qubits[0]
-    keep = basis_state(circuit.num_qubits, 0).apply_all(v)
+    keep = basis_state(circuit.num_qubits, 0).apply(*v)
     assert keep.amplitudes[0] == 1.0
     marked = 1 << (circuit.num_qubits - 1 - phi)
-    flipped = basis_state(circuit.num_qubits, marked).apply_all(v)
+    flipped = basis_state(circuit.num_qubits, marked).apply(*v)
     assert flipped.amplitudes[marked] == -1.0
     rng = np.random.default_rng(66)
     state = random_statevector(circuit.num_qubits, rng)
-    twice = StateVector(circuit.num_qubits, state).apply_all(v).apply_all(v)
+    twice = StateVector(circuit.num_qubits, state).apply(*v).apply(*v)
     assert np.abs(twice.amplitudes - state).max() < 1e-12
 
 
 def test_D_fixes_prepared_state(reference):
     circuit = compile_forest_op(*reference)
     psi = _run(circuit.num_qubits, circuit.gates).amplitudes.copy()
-    after = StateVector(circuit.num_qubits, psi).apply_all(build_D(circuit))
+    after = StateVector(circuit.num_qubits, psi).apply(*build_D(circuit))
     assert np.abs(after.amplitudes - psi).max() < 1e-10
 
 
@@ -325,7 +325,7 @@ def test_D_negates_orthogonal_states(reference):
     raw = random_statevector(circuit.num_qubits, rng)
     orth = raw - np.vdot(psi, raw) * psi
     orth /= np.linalg.norm(orth)
-    after = StateVector(circuit.num_qubits, orth).apply_all(build_D(circuit))
+    after = StateVector(circuit.num_qubits, orth).apply(*build_D(circuit))
     assert np.abs(after.amplitudes + orth).max() < 1e-10
 
 
@@ -334,7 +334,7 @@ def test_D_squares_to_identity(reference):
     rng = np.random.default_rng(68)
     state = random_statevector(circuit.num_qubits, rng)
     sv = StateVector(circuit.num_qubits, state)
-    sv.apply_all(build_D(circuit)).apply_all(build_D(circuit))
+    sv.apply(*build_D(circuit)).apply(*build_D(circuit))
     assert np.abs(sv.amplitudes - state).max() < 1e-10
 
 
@@ -394,19 +394,26 @@ def test_iterate_holds_walk_blocks_once():
 
 @pytest.mark.parametrize("n,h", [(1, 1), (2, 2), (4, 3), (8, 4), (16, 5)])
 def test_bound_swaps_are_relabels(n, h):
-    """An uncontrolled swap binds to no step; U ends in one reorder step,
-    and Q, whose U^-1 cascades undo U's, needs none."""
+    """An uncontrolled swap binds to no step.  U leaves psi's qubits on the
+    axes its h x2 cascades rotate them to (each moves psi qubit i to psi's
+    axis i + 1, cyclically), and Q, whose U^-1 cascades undo U's, leaves
+    every qubit on its own axis."""
     forest, x = random_instance(n, h, 60 + h)
     circuit = compile_forest_op(forest, x)
     q = grover_iterate(circuit)
     sv = StateVector(circuit.num_qubits)
-    iterate = sv.bind(q)
+    iterate, axis = sv.bind(q)
     assert len(iterate) == len(q) - sum(gate.kind == "swap" for gate in q)
-    assert all(c is not _REORDER for _, _, c in iterate)
+    assert axis == tuple(range(circuit.num_qubits))
     if (n, h) == (8, 4):
         assert (len(q), len(iterate)) == (52, 20)
-    forward = sv.bind(circuit.gates)
-    assert [c is _REORDER for _, _, c in forward] == [False] * (len(forward) - 1) + [True]
+    forward, axis = sv.bind(circuit.gates)
+    assert len(forward) == len(circuit.gates) - sum(gate.kind == "swap" for gate in circuit.gates)
+    rotated = list(range(circuit.num_qubits))
+    qs = circuit.register("psi").qubits
+    for i, qubit in enumerate(qs):
+        rotated[qubit] = qs[(i + h) % len(qs)]
+    assert axis == tuple(rotated)
 
 
 @settings(deadline=None, max_examples=60)
@@ -424,7 +431,8 @@ def test_bound_iterate_runs_its_gates_on_documents(data):
     state = random_statevector(circuit.num_qubits, rng)
     sv = StateVector(circuit.num_qubits, state)
     one_by_one = StateVector(circuit.num_qubits, state)
-    iterate = sv.bind(q)
+    iterate, axis = sv.bind(q)
+    assert axis == tuple(range(circuit.num_qubits))
     for _ in range(data.draw(st.integers(1, 3))):
         sv.run(iterate)
         for gate in q:

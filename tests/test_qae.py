@@ -26,6 +26,7 @@ from qrforest.qae import (
     run_forecast,
     sample_outcomes,
 )
+from qrforest.statevector import StateVector
 
 
 def _grid(t):
@@ -242,6 +243,27 @@ def test_engine_memory_at_a_wide_shape():
             tracemalloc.stop()
     assert peaks[0] < 25 << 19
     assert peaks[1] < 25 << 19
+
+
+def test_engine_runs_only_block_steps(monkeypatch):
+    """Every step list the engine runs holds block steps
+    ``(a, b, (c00, c01, c10, c11))`` alone: the Grover loop runs in U's
+    output axis order, so no step copies the state into another order."""
+    runs = []
+    run = StateVector.run
+
+    def record(sv, steps):
+        runs.append(list(steps))
+        return run(sv, runs[-1])
+
+    monkeypatch.setattr(StateVector, "run", record)
+    circuit = compile_forest_op(*random_instance(4, 3, 5))
+    PhaseEstimation(circuit, 8)
+    assert len(runs) == 1 + 2 * 7
+    for steps in runs:
+        for a, b, c in steps:
+            assert type(c) is tuple and len(c) == 4
+            assert all(isinstance(e, np.ndarray) for e in (a, b, *c))
 
 
 def test_engine_leaves_nothing_on_the_circuit():

@@ -10,7 +10,7 @@ from conftest import random_instance, random_statevector, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.compiler import Register, compile_forest_op
-from qrforest.statevector import _REORDER, StateVector, invert
+from qrforest.statevector import StateVector, invert
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -35,6 +35,12 @@ def test_cnot_flips_conditionally():
 
 def test_zero_state_probability():
     assert probability(StateVector(2), (1,), 1) == 0.0
+
+
+def _in_qubit_order(sv, axis):
+    """The amplitudes in qubit order, read from a buffer whose axis ``axis[q]``
+    holds qubit ``q``."""
+    return sv.amplitudes.reshape((2,) * sv.num_qubits).transpose(axis).reshape(-1)
 
 
 @pytest.mark.parametrize("n", (3, 4, 6))
@@ -66,17 +72,18 @@ def test_bound_steps_run_the_gate_list(n, seed, picks):
     for gate in gates:
         one_by_one.apply(gate)
     sv = StateVector(n, state)
-    steps = sv.bind(gates)
+    steps, axis = sv.bind(gates)
     assert sv.run(steps) is sv
-    np.testing.assert_array_equal(sv.amplitudes, one_by_one.amplitudes)
+    np.testing.assert_array_equal(_in_qubit_order(sv, axis), one_by_one.amplitudes)
     dense = np.eye(1 << n)
     for gate in gates:
         dense = gate_matrix(gate, n) @ dense
-    assert np.abs(sv.amplitudes - dense @ state).max() < 1e-12
+    assert np.abs(_in_qubit_order(sv, axis) - dense @ state).max() < 1e-12
+    sv.amplitudes[:] = _in_qubit_order(sv, axis)
     sv.run(steps)
     for gate in gates:
         one_by_one.apply(gate)
-    np.testing.assert_array_equal(sv.amplitudes, one_by_one.amplitudes)
+    np.testing.assert_array_equal(_in_qubit_order(sv, axis), one_by_one.amplitudes)
 
 
 @settings(deadline=None, max_examples=100)
@@ -90,15 +97,17 @@ def test_inverted_steps_undo_the_bound_steps(n, seed, picks):
     with complex blocks, controls and relabelling swaps, and from any state
     equals the oracle's gate-level inverse list applied one gate at a time."""
     rng = np.random.default_rng(seed)
-    # A fresh menu per pick puts swaps on different pairs, so the closing
-    # reorder can be a cycle, which is not its own inverse.
+    # A fresh menu per pick puts swaps on different pairs, so the axis
+    # order the steps end in can be a cycle, which is not its own inverse.
     gates = [gate_menu(n, rng)[i][1] for i in picks]
     state = random_statevector(n, rng)
     sv = StateVector(n, state)
-    steps = sv.bind(gates)
+    steps, axis = sv.bind(gates)
     undo = invert(steps)
     sv.run(steps).run(undo)
     assert np.abs(sv.amplitudes - state).max() < 1e-12
+    # undo starts where the steps end, with qubit q on buffer axis axis[q].
+    sv.amplitudes[:] = sv.amplitudes.reshape((2,) * n).transpose(np.argsort(axis)).reshape(-1)
     sv.run(undo)
     oracle = StateVector(n, state)
     for gate in reversed(gates):
@@ -108,17 +117,15 @@ def test_inverted_steps_undo_the_bound_steps(n, seed, picks):
 
 def test_invert_reuses_the_forecasting_steps():
     """U's blocks are real, so its inverted steps hold U's own views and
-    block entries (``is``), in reverse order: no second block set exists."""
+    block entries (``is``), in reverse order: no second block set exists.
+    U's swaps leave its qubits on other axes, and undo brings them back."""
     for n, h in ((1, 3), (4, 3), (8, 4)):
         circuit = compile_forest_op(*random_instance(n, h, 70 + h))
         sv = StateVector(circuit.num_qubits)
-        redo = sv.bind(circuit.gates)
+        redo, axis = sv.bind(circuit.gates)
         undo = invert(redo)
-        assert len(undo) == len(redo) and redo[-1][2] is _REORDER
+        assert len(undo) == len(redo) and axis != tuple(range(circuit.num_qubits))
         for (a, b, c), (ra, rb, rc) in zip(undo, reversed(redo)):
-            if c is _REORDER:
-                assert a is rb and b is ra and rc is _REORDER
-                continue
             assert a is ra and b is rb
             c00, c01, c10, c11 = c
             assert c00 is rc[0] and c01 is rc[2] and c10 is rc[1] and c11 is rc[3]
@@ -176,11 +183,11 @@ def test_ucr_matches_block_diagonal_oracle():
 
 
 def test_swap_as_cnots_behaves_like_swap():
-    sv = basis_state(2, 0b01).apply_all(swap_as_cnots(0, 1))
+    sv = basis_state(2, 0b01).apply(*swap_as_cnots(0, 1))
     np.testing.assert_allclose(sv.amplitudes, [0, 0, 1, 0], atol=0)
     rng = np.random.default_rng(16)
     state = random_statevector(2, rng)
-    via_cnots = StateVector(2, state).apply_all(swap_as_cnots(0, 1)).amplitudes
+    via_cnots = StateVector(2, state).apply(*swap_as_cnots(0, 1)).amplitudes
     via_swap = StateVector(2, state).apply(g.swap(0, 1)).amplitudes
     np.testing.assert_allclose(via_cnots, via_swap, atol=1e-15)
 
@@ -224,5 +231,19 @@ def test_apply_gate_returns_same_object():
 def test_apply_all_checks_every_gate_before_applying_any():
     sv = StateVector(2)
     with pytest.raises(ValueError, match="qubit 3"):
-        sv.apply_all([g.h(0), g.h(3)])
+        sv.apply(g.h(0), g.h(3))
     np.testing.assert_array_equal(sv.amplitudes, [1, 0, 0, 0])
+
+
+def test_controlled_swap_binds_to_one_x_block_step():
+    """A controlled swap is one block step, X over the views where its two
+    qubits differ, and leaves the axes where they were."""
+    rng = np.random.default_rng(18)
+    state = random_statevector(3, rng)
+    gate = g.Gate("swap", (0, 2), controls=((1, 1),))
+    sv = StateVector(3, state)
+    steps, axis = sv.bind([gate])
+    assert len(steps) == 1 and axis == (0, 1, 2)
+    assert [e.item() for e in steps[0][2]] == [0, 1, 1, 0]
+    sv.run(steps)
+    np.testing.assert_array_equal(sv.amplitudes, gate_matrix(gate, 3) @ state)
