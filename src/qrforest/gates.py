@@ -15,11 +15,10 @@ Conventions, fixed package-wide:
 Parameters are held in one form: a read-only array, copied when the gate
 is built -- ucg blocks as ``(2^s, 2, 2)`` complex128, ucr angles as
 ``(2^s,)`` float64.  Gates compare by value (``np.array_equal``) and are not
-hashable.  For the simulator's view kernel every gate but swap has a
-``Gate.block_array``, built on each access: the ucg blocks themselves, a
-module constant for h and x, and the rotation blocks for a ucr.  The
-dense-matrix oracle the kernel is checked against, and the gate-level
-inverse, live with the tests, so the two share no code.
+hashable.  The simulator reads its 2x2 entries from these parameters (and
+from the module constants ``_H`` and ``_X`` for h and x) when it binds a
+gate.  The dense-matrix oracle the kernel is checked against, and the
+gate-level inverse, live with the tests, so the two share no code.
 """
 from __future__ import annotations
 
@@ -39,8 +38,6 @@ _ID = _read_only(np.eye(2, dtype=np.complex128))
 _X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 _Z = _read_only(np.diag(np.array([1, -1], dtype=np.complex128)))
 _NEG_ID = _read_only(-_ID)
-_H_BLOCKS = _H[None]  # views of read-only arrays, so read-only too
-_X_BLOCKS = _X[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,27 +80,6 @@ class Gate:
     @property
     def selects(self) -> tuple[int, ...]:
         return self.qubits[:-1]
-
-    @property
-    def block_array(self) -> np.ndarray:
-        """Parameters as a read-only ``(2^s, 2, 2)`` complex array indexed by
-        select value (``s = 0`` for h and x): the ucg blocks themselves, a
-        module constant for h and x, and for a ucr blocks built on each
-        access and not kept."""
-        if self.kind == "h":
-            return _H_BLOCKS
-        if self.kind == "x":
-            return _X_BLOCKS
-        if self.kind == "ucg":
-            return self.params[0]
-        if self.kind == "ucr":
-            half = self.params[0] / 2.0
-            blocks = np.empty((half.size, 2, 2), dtype=np.complex128)
-            blocks[:, 0, 0] = blocks[:, 1, 1] = np.cos(half)
-            blocks[:, 1, 0] = np.sin(half)
-            blocks[:, 0, 1] = -blocks[:, 1, 0]
-            return _read_only(blocks)
-        raise ValueError(f"kind {self.kind!r} has no block array")
 
 
 def h(q: int) -> Gate:

@@ -16,17 +16,18 @@ history state ``sum_m Q^m|Psi> |m> / sqrt(t)`` (Cleve, Ekert, Macchiavello,
 Mosca, quant-ph/9708016); Q is unitary, so its readout needs only
 ``g(m) = <Psi|Q^m Psi>``: outcome ``k`` has probability
 ``(2 Re fft((t - m) g(m))[k] - t g(0)) / t^2`` over m = 0 .. t-1, clipped at
-0 as rounding can leave a zero a few ulps below.  The engine holds Psi and
-one running vector, both in the axis order U's bound steps end in (its swaps
-only relabel axes).  Each of ``t - 1`` steps negates the amplitudes where
-phi, the last work qubit, reads 1 on the buffer axis the axis map gives it
-(V), applies D = U (2|0><0| - I) U^-1 as undo (U's bound steps run
+0 as rounding can leave a zero a few ulps below.  With Psi = U|0> and
+Q = D V, D = U S0 U^-1, S0 = 2|0><0| - I, conjugating by U gives
+``U^-1 Q U = S0 U^-1 V U``, so ``g(m) = <0|(S0 U^-1 V U)^m|0>``: the
+all-zero amplitude of one running vector that starts at |0>.  The engine
+holds only that vector.  Each of ``t - 1`` steps runs redo (U's bound steps,
+which leave it in U's output axis order; its swaps only relabel axes),
+negates the amplitudes where phi, the last work qubit, reads 1 on the
+buffer axis the axis map gives it (V), runs undo (U's bound steps
 backwards, each block transposed: every block of U is real; they end in
-qubit order), the sign step (negate every amplitude but that of the
-all-zero state, index 0 in any axis order) and redo (U's bound steps), and
-reads ``g(m)`` from Psi and the running vector held in the same order, so
-no step copies the state.  The width cap counts the textbook circuit's
-work + phase qubits.
+qubit order), negates every amplitude but index 0 (S0), and reads ``g(m)``
+at index 0, so no step copies the state and none takes an inner product.
+The width cap counts the textbook circuit's work + phase qubits.
 
 The outcome distribution is a deterministic function of (forest, input, t)
 and is simulated once per call of ``sample_outcomes``; the repetitions of
@@ -165,33 +166,32 @@ def check_width(work_qubits: int, t: int) -> None:
 
 class PhaseEstimation:
     """Exact QPE outcome distribution for one (circuit, t) pair:
-    ``max(0, (2 Re fft((t - m) g) - t g(0)) / t^2)`` from ``g(m)`` streamed
-    off one running vector (see above).  U is bound once as ``redo``, and
-    ``undo`` is ``redo`` run backwards (``statevector.invert``), sharing its
-    views and block arrays; a step is V, undo, the sign step, redo.  The
-    loop runs in U's output axis order: V negates the view where phi's
-    buffer axis, through ``bind``'s axis map, reads 1.  Only the
-    distribution and ``t`` are kept."""
+    ``max(0, (2 Re fft((t - m) g) - t g(0)) / t^2)`` with
+    ``g(m) = <0|(S0 U^-1 V U)^m|0>`` streamed off one running vector that
+    starts at |0> (see above), so ``g(0) = 1`` and nothing runs before the
+    loop.  U is bound once as ``redo``, and ``undo`` is ``redo`` run
+    backwards (``statevector.invert``), sharing its views and entries; a
+    step is redo, V, undo, S0.  V negates the view where phi's buffer axis,
+    through ``bind``'s axis map, reads 1.  Only the distribution and ``t``
+    are kept."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
         self.t = t
         w = circuit.num_qubits
-        sv = StateVector(w)
+        sv = StateVector(w)  # |0>: the loop runs in U's input frame
         redo, axis = sv.bind(circuit.gates)
         undo = invert(redo)
-        v = sv.run(redo).amplitudes  # the running vector, Psi until the first step
+        v = sv.amplitudes
         phi_one = v.reshape((2,) * w)[(slice(None),) * axis[w - 1] + (1, ...)]  # V's view
-        psi_conj = v.conj()
         g = np.empty(t, dtype=np.complex128)
-        g[0] = np.add.reduce(psi_conj * v)  # a plain sum: np.vdot may start BLAS threads
+        g[0] = 1.0
         for m in range(1, t):
+            sv.run(redo)
             phi_one *= -1
             sv.run(undo)
-            v *= -1  # 2|0><0| - I: every sign but the all-zero state's
-            v[0] = -v[0]
-            sv.run(redo)
-            g[m] = np.add.reduce(psi_conj * v)
+            v[1:] *= -1  # 2|0><0| - I: every sign but the all-zero state's
+            g[m] = v[0]
         p = 2.0 * np.fft.fft((t - np.arange(t)) * g).real - t * g[0].real
         self._distribution = np.maximum(p / t**2, 0.0)
         self._cumulative = np.cumsum(self._distribution)

@@ -7,17 +7,20 @@ the amplitudes are reshaped to a ``(2,) * N`` array, basic indexing fixes
 the control axes and two values of the gate's own axes, and a 2x2 block
 combines the two resulting views (after Häner and Steiger, arXiv:1704.01127).
 ``bind`` does that setup once per gate and ``run`` only the arithmetic, so a
-gate list applied many times is bound once.  Every bound step is of that one
-kind: a controlled swap is the X block over the views where its two qubits
-differ, and an uncontrolled swap is no step at all, only a relabel of which
-buffer axis holds each of its qubits.  A bound list therefore leaves the
-buffer in the axis order ``bind`` returns with it; ``apply`` copies the axes
-back into qubit order once, after the list.  ``invert`` turns bound steps
-into those of the inverse gate list without binding again: the same views
-in reverse order, each block conjugate-transposed (for real entries, only a
-new order of the same arrays).  A state is exclusively owned while being
-mutated.  Dense matrices never appear here; the dense oracle the kernel is
-tested against, and the readout helpers only tests need, live with the tests.
+gate list applied many times is bound once.  ``bind`` reads each block's four
+entries from the gate's own parameters: a ucg's blocks, the constant H or X
+block, and for a ucr the real ``cos`` and ``sin`` of its half-angles.  Every
+bound step is of that one kind: a controlled swap is the X block over the
+views where its two qubits differ, and an uncontrolled swap is no step at
+all, only a relabel of which buffer axis holds each of its qubits.  A bound
+list therefore leaves the buffer in the axis order ``bind`` returns with it;
+``apply`` copies the axes back into qubit order once, after the list.
+``invert`` turns bound steps into those of the inverse gate list without
+binding again: the same views in reverse order, each block
+conjugate-transposed (for real entries, only a new order of the same
+arrays).  A state is exclusively owned while being mutated.  Dense matrices
+never appear here; the dense oracle the kernel is tested against, and the
+readout helpers only tests need, live with the tests.
 """
 from __future__ import annotations
 
@@ -28,6 +31,8 @@ import numpy as np
 from . import gates as g
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
+
+_BLOCK = {"h": g._H, "x": g._X, "swap": g._X}  # a swap exchanges where its qubits differ
 
 
 class StateVector:
@@ -58,13 +63,16 @@ class StateVector:
         """Check the gates, then fix per gate two views of this state's buffer
         (the amplitudes as a ``(2,) * n`` array with the control axes fixed,
         and the target axis at 0 and at 1, or a controlled swap's two axes at
-        (1, 0) and (0, 1)) and the four entries of its 2x2 blocks broadcast
-        over them (a swap's block is X; a ucr's entries are C-contiguous
-        copies).  Every step is of this one kind.  An uncontrolled swap emits
-        no step: it exchanges which buffer axes its two qubits hold, and later
-        gates index the axes their qubits hold then.  Returns the steps, which
-        expect the buffer in qubit order, and ``axis``: ``axis[q]`` is the
-        buffer axis that holds qubit ``q`` after they run."""
+        (1, 0) and (0, 1)) and the four entries of its 2x2 blocks, read from
+        the gate's parameters and broadcast over them: views of a ucg's
+        blocks, of the H or X block (a swap's is X), and for a ucr the real
+        float64 ``(c, -s, s, c)`` with ``c, s = cos, sin`` of its half-angles,
+        each placed in buffer order once and C-contiguous.  Every step is of
+        this one kind.  An uncontrolled swap emits no step: it exchanges which
+        buffer axes its two qubits hold, and later gates index the axes their
+        qubits hold then.  Returns the steps, which expect the buffer in qubit
+        order, and ``axis``: ``axis[q]`` is the buffer axis that holds qubit
+        ``q`` after they run."""
         n = self.num_qubits
         psi = self._amp.reshape((2,) * n)
         axis = list(range(n))  # axis[q]: the buffer axis that holds qubit q
@@ -88,30 +96,28 @@ class StateVector:
                 at[qa], at[qb] = 1, 0
                 a = psi[(*at, ...)]
                 at[qa], at[qb] = 0, 1
-                selects, blocks = [], g.x(0).block_array
+                selects = []
             else:
                 selects, target = [axis[q] for q in gate.selects], axis[gate.target]
                 at[target] = 0
                 a = psi[(*at, ...)]
                 at[target] = 1
-                blocks = gate.block_array
             b = psi[(*at, ...)]
-            # Block k is indexed by the selects in list order; the views hold
+            # Entry k is indexed by the selects in list order; the views hold
             # them in buffer-axis order, with a length-1 axis for every other free axis.
             order = sorted(range(len(selects)), key=selects.__getitem__)
             shape = [2 if ax in selects else 1 for ax in range(n) if type(at[ax]) is slice]
-            c = (
-                blocks.reshape((2,) * len(selects) + (2, 2))
-                .transpose(*order, -2, -1)
-                .reshape(*shape, 2, 2)
-            )
-            entries = tuple(c[..., i, j] for i in (0, 1) for j in (0, 1))
+
+            def place(e: np.ndarray) -> np.ndarray:
+                return e.reshape((2,) * len(selects)).transpose(order).reshape(shape)
+
             if gate.kind == "ucr":
-                # Its blocks are built for this call and dropped after it, so
-                # its entries are copied into buffer order at no lasting cost;
-                # a ucg's stay views of the blocks its gate holds, which
-                # copies would double.
-                entries = tuple(map(np.ascontiguousarray, entries))
+                half = gate.params[0] / 2.0
+                c, s = (np.asarray(place(f(half)), order="C") for f in (np.cos, np.sin))
+                entries = (c, -s, s, c)
+            else:
+                blocks = gate.params[0] if gate.kind == "ucg" else _BLOCK[gate.kind]
+                entries = tuple(place(blocks[..., i, j]) for i in (0, 1) for j in (0, 1))
             steps.append((a, b, entries))
         return steps, tuple(axis)
 
@@ -139,11 +145,13 @@ def invert(steps: Sequence[tuple]) -> list[tuple]:
     """Steps that undo ``steps`` from ``bind``, over the same buffer: the
     steps in reverse order, each with its entries conjugate-transposed.  They
     start in the axis order ``steps`` end in and end in qubit order.  Real
-    entries, as in every gate of the forecasting operator, are reused as
-    they are, only reordered; complex ones are conjugated into new arrays."""
+    entries, as in every gate of the forecasting operator (a ucr's are
+    float64; H, X and its ucg blocks are complex with zero imaginary parts),
+    are reused as they are, only reordered; complex ones are conjugated into
+    new arrays."""
     undo = []
     for a, b, c in reversed(steps):
-        if any(e.imag.any() for e in c):
+        if any(np.iscomplexobj(e) and e.imag.any() for e in c):
             c = tuple(map(np.conj, c))
         c00, c01, c10, c11 = c
         undo.append((a, b, (c00, c10, c01, c11)))

@@ -83,34 +83,6 @@ def test_ucr_matrix_is_block_diagonal_rotations():
     np.testing.assert_allclose(m, expected, atol=1e-15)
 
 
-@pytest.mark.parametrize("kind", ("h", "x", "ry", "u", "ucg", "ucr"))
-def test_block_array_is_lowered_once_and_read_only(kind):
-    rng = np.random.default_rng(6)
-    gate = {
-        "h": lambda: g.h(0),
-        "x": lambda: g.x(0),
-        "ry": lambda: ry(0, rng.uniform(-math.pi, math.pi)),
-        "u": lambda: g.one_qubit(0, random_unitary_2x2(rng)),
-        "ucg": lambda: g.ucg((0, 1), 2, [random_unitary_2x2(rng) for _ in range(4)]),
-        "ucr": lambda: g.ucr((0, 1), 2, rng.uniform(-math.pi, math.pi, size=4)),
-    }[kind]()
-    blocks = 1 << len(gate.selects)
-    arr = gate.block_array
-    assert arr.shape == (blocks, 2, 2) and arr.dtype == np.complex128
-    if kind in ("ry", "ucr"):  # built on each access, not kept
-        np.testing.assert_array_equal(gate.block_array, arr)
-    else:
-        assert gate.block_array is arr
-    assert not arr.flags.writeable
-    if gate.kind == "ucg":  # "u" too: a ucg's blocks are its block array
-        assert arr is gate.params[0]
-    m = gate_matrix(gate, gate.target + 1)
-    for k in range(blocks):
-        np.testing.assert_allclose(arr[k], m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], atol=1e-15)
-    with pytest.raises(ValueError):
-        g.swap(0, 1).block_array
-
-
 def test_parameters_are_copied_and_compared_by_value():
     rng = np.random.default_rng(9)
     blocks = np.array([random_unitary_2x2(rng) for _ in range(4)])

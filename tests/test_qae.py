@@ -212,8 +212,8 @@ def test_exact_guarantees_on_documents(data, t):
 
 
 def test_engine_memory_does_not_grow_with_t():
-    # n = 16, h = 5, t = 256: 11 work qubits.  Psi, the running vector and the
-    # bound D peak at 0.31 MiB traced; the (2^11, 256) history state it
+    # n = 16, h = 5, t = 256: 11 work qubits.  The running vector and U's
+    # bound steps peak at 0.16 MiB traced; the (2^11, 256) history state it
     # replaced peaked at 20.2 MiB.
     circuit = compile_forest_op(*random_instance(16, 5, 5))
     tracemalloc.start()
@@ -226,12 +226,12 @@ def test_engine_memory_does_not_grow_with_t():
 
 
 def test_engine_memory_at_a_wide_shape():
-    # n = 2, h = 14, t = 4: 17 work qubits.  The engine holds Psi's conjugate
-    # and the running vector (2 MiB each) and the leaf ucr's 2^16 blocks
-    # (4 MiB), which U^-1's steps share and which are dropped with the steps.
-    # Traced peaks: 11.3 MiB on a fresh circuit and on the second run.  With
-    # U^-1 bound from its own gate list, and U's blocks kept on the circuit,
-    # they were 15.3 and 11.3 MiB.
+    # n = 2, h = 14, t = 4: 17 work qubits.  The engine holds the running
+    # vector (2 MiB) and the leaf ucr's real entries in buffer order, cos and
+    # +-sin over 2^16 selects (1.5 MiB), which U^-1's steps share and which
+    # are dropped with the steps.  Traced peaks: 6.8 MiB on a fresh circuit
+    # and on the second run.  With Psi's conjugate kept for <Psi, v> and the
+    # ucr's entries as four complex copies they were 11.3 MiB.
     circuit = compile_forest_op(*random_instance(2, 14, 5))
     peaks = []
     for _ in range(2):
@@ -241,26 +241,53 @@ def test_engine_memory_at_a_wide_shape():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 25 << 19
-    assert peaks[1] < 25 << 19
+    assert peaks[0] < 8 << 20
+    assert peaks[1] < 8 << 20
+
+
+def test_engine_memory_at_the_widest_leaf_rotation():
+    # n = 64, h = 10, t = 8: 18 work qubits, and the leaf ucr selects on 17
+    # of them.  The running vector is 4 MiB and the ucr's real entries 3 MiB;
+    # the traced peak of the engine alone is 13.3 MiB.  With Psi's conjugate
+    # and four complex ucr entries (8 MiB) it was 22.3 MiB.
+    circuit = compile_forest_op(*random_instance(64, 10, 5))
+    tracemalloc.start()
+    try:
+        PhaseEstimation(circuit, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_engine_runs_only_block_steps(monkeypatch):
-    """Every step list the engine runs holds block steps
-    ``(a, b, (c00, c01, c10, c11))`` alone: the Grover loop runs in U's
-    output axis order, so no step copies the state into another order."""
-    runs = []
+    """The engine runs nothing before its loop, then U's bound steps (redo)
+    and their inverse (undo) by turns, 2 (t - 1) runs from |0>; every step
+    is a block step ``(a, b, (c00, c01, c10, c11))``, and undo holds redo's
+    views in reverse, so no step copies the state into another order."""
+    runs, first = [], []
     run = StateVector.run
 
     def record(sv, steps):
-        runs.append(list(steps))
-        return run(sv, runs[-1])
+        if not runs:
+            first.append(sv.amplitudes.copy())
+        runs.append(steps)
+        return run(sv, steps)
 
     monkeypatch.setattr(StateVector, "run", record)
     circuit = compile_forest_op(*random_instance(4, 3, 5))
     PhaseEstimation(circuit, 8)
-    assert len(runs) == 1 + 2 * 7
-    for steps in runs:
+    assert len(runs) == 2 * 7
+    redo, undo = runs[0], runs[1]
+    assert redo is not undo
+    assert all(r is redo for r in runs[0::2]) and all(r is undo for r in runs[1::2])
+    zero = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    zero[0] = 1.0
+    np.testing.assert_array_equal(first[0], zero)
+    assert len(redo) == len(undo)
+    for (a, b, _), (ra, rb, _) in zip(undo, reversed(redo)):
+        assert a is ra and b is rb
+    for steps in (redo, undo):
         for a, b, c in steps:
             assert type(c) is tuple and len(c) == 4
             assert all(isinstance(e, np.ndarray) for e in (a, b, *c))

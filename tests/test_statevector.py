@@ -182,6 +182,24 @@ def test_ucr_matches_block_diagonal_oracle():
         assert np.abs(fast - dense @ state).max() < 1e-10
 
 
+def test_ucr_binds_to_real_contiguous_entries():
+    """A ucr binds to real float64 entries ``(c, -s, s, c)``, each placed in
+    buffer order once and C-contiguous, so ``c00 is c11``; its selects are
+    out of buffer order here, so placing them transposes."""
+    rng = np.random.default_rng(19)
+    gate = g.ucr((3, 0, 2), 1, rng.uniform(-math.pi, math.pi, size=8))
+    state = random_statevector(4, rng)
+    sv = StateVector(4, state)
+    steps, axis = sv.bind([gate])
+    assert len(steps) == 1 and axis == (0, 1, 2, 3)
+    c00, c01, c10, c11 = steps[0][2]
+    assert c00 is c11
+    for e in (c00, c01, c10):
+        assert e.dtype == np.float64 and e.flags.c_contiguous
+    sv.run(steps)
+    assert np.abs(sv.amplitudes - gate_matrix(gate, 4) @ state).max() < 1e-12
+
+
 def test_swap_as_cnots_behaves_like_swap():
     sv = basis_state(2, 0b01).apply(*swap_as_cnots(0, 1))
     np.testing.assert_allclose(sv.amplitudes, [0, 0, 1, 0], atol=0)
