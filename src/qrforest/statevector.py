@@ -67,12 +67,12 @@ class StateVector:
         the gate's parameters and broadcast over them: views of a ucg's
         blocks, of the H or X block (a swap's is X), and for a ucr the real
         float64 ``(c, -s, s, c)`` with ``c, s = cos, sin`` of its half-angles,
-        each placed in buffer order once and C-contiguous.  Every step is of
-        this one kind.  An uncontrolled swap emits no step: it exchanges which
-        buffer axes its two qubits hold, and later gates index the axes their
-        qubits hold then.  Returns the steps, which expect the buffer in qubit
-        order, and ``axis``: ``axis[q]`` is the buffer axis that holds qubit
-        ``q`` after they run."""
+        each placed in buffer order once, C-contiguous and read-only.  Every
+        step is of this one kind.  An uncontrolled swap emits no step: it
+        exchanges which buffer axes its two qubits hold, and later gates index
+        the axes their qubits hold then.  Returns the steps, which expect the
+        buffer in qubit order, and ``axis``: ``axis[q]`` is the buffer axis
+        that holds qubit ``q`` after they run."""
         n = self.num_qubits
         psi = self._amp.reshape((2,) * n)
         axis = list(range(n))  # axis[q]: the buffer axis that holds qubit q
@@ -114,7 +114,9 @@ class StateVector:
             if gate.kind == "ucr":
                 half = gate.params[0] / 2.0
                 c, s = (np.asarray(place(f(half)), order="C") for f in (np.cos, np.sin))
-                entries = (c, -s, s, c)
+                entries = (c, np.asarray(-s), s, c)  # asarray: -s of a 0-d s is a scalar
+                for e in entries:  # shared with the steps invert makes of these
+                    e.flags.writeable = False
             else:
                 blocks = gate.params[0] if gate.kind == "ucg" else _BLOCK[gate.kind]
                 entries = tuple(place(blocks[..., i, j]) for i in (0, 1) for j in (0, 1))

@@ -7,6 +7,7 @@ from conftest import controlled, gate_matrix, gate_menu, pauli_z, random_unitary
 from conftest import inverse, reflection_about_zero
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
+from qrforest.statevector import StateVector
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -81,6 +82,48 @@ def test_ucr_matrix_is_block_diagonal_rotations():
             [math.sin(a / 2), math.cos(a / 2)],
         ]
     np.testing.assert_allclose(m, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ("h", "x", "ry", "u", "ucg", "ucr"))
+def test_block_array_is_lowered_once_and_read_only(kind):
+    """``bind`` lowers a gate's 2x2 blocks from its parameters into four
+    read-only entries: views of the H or X constant or of a ucg's blocks,
+    and for a ucr (an Ry too) real cos and +-sin computed once per bind."""
+    rng = np.random.default_rng(6)
+    gate = {
+        "h": lambda: g.h(0),
+        "x": lambda: g.x(0),
+        "ry": lambda: ry(0, rng.uniform(-math.pi, math.pi)),
+        "u": lambda: g.one_qubit(0, random_unitary_2x2(rng)),
+        "ucg": lambda: g.ucg((0, 1), 2, [random_unitary_2x2(rng) for _ in range(4)]),
+        "ucr": lambda: g.ucr((0, 1), 2, rng.uniform(-math.pi, math.pi, size=4)),
+    }[kind]()
+    blocks = 1 << len(gate.selects)
+    sv = StateVector(gate.target + 1)
+    (step,), _ = sv.bind([gate])
+    entries = step[2]
+    assert len(entries) == 4 and all(e.size == blocks for e in entries)
+    assert not any(e.flags.writeable for e in entries)
+    if kind in ("ry", "ucr"):  # real, built for this bind, c shared by both diagonal entries
+        assert all(e.dtype == np.float64 and e.flags.c_contiguous for e in entries)
+        assert entries[0] is entries[3]
+        np.testing.assert_array_equal(entries[1], -entries[2])
+        (again,), _ = sv.bind([gate])
+        assert all(np.array_equal(x, y) for x, y in zip(again[2], entries))
+        assert again[2][0] is not entries[0]
+    else:  # views of arrays already held, not copies
+        held = {"h": g._H, "x": g._X}[kind] if kind in ("h", "x") else gate.params[0]
+        assert all(e.dtype == np.complex128 and np.shares_memory(e, held) for e in entries)
+    m = gate_matrix(gate, gate.target + 1)
+    flat = [e.reshape(-1) for e in entries]
+    for k in range(blocks):
+        block = np.array([[flat[0][k], flat[1][k]], [flat[2][k], flat[3][k]]])
+        np.testing.assert_allclose(block, m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], atol=1e-15)
+    # A swap has no parameters: a controlled one binds the X block, an
+    # uncontrolled one no step at all.
+    (cswap,), _ = StateVector(3).bind([controlled(g.swap(0, 1), 2)])
+    assert all(np.shares_memory(e, g._X) for e in cswap[2])
+    assert StateVector(2).bind([g.swap(0, 1)]) == ([], (1, 0))
 
 
 def test_parameters_are_copied_and_compared_by_value():
