@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .config import MAX_FOREST_BYTES, MAX_INPUT_BYTES, MAX_PAIRS_LINE
+from .config import MAX_FOREST_BYTES, MAX_INPUT_BYTES, MAX_PAIRS, MAX_PAIRS_LINE
 from .exceptions import DegenerateRangeError, MetricError, QrfError, ResourceLimitError
 from .forest_io import load_forest, save_forest
 from .model import (
@@ -202,8 +202,8 @@ def cmd_forecast(args) -> int:
                 f"bound={result.error_bound!r} t={result.t} reps={result.repetitions} "
                 f"grover_calls={result.grover_calls} queries={query_count(result)}"
             )
-            if args.mode == "both" and classical_r is not None:
-                if args.target == "beta" and classical_beta is not None:
+            if args.mode == "both":  # run_forecast refuses a degenerate range, so classical_beta is set
+                if args.target == "beta":
                     pair = (classical_beta, result.beta_estimate)
                 else:
                     pair = (classical_r, result.r_estimate)
@@ -305,6 +305,8 @@ def cmd_metrics(args) -> int:
                 raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line") from None
             if not (math.isfinite(truth) and math.isfinite(forecast)):
                 raise QrfError(f"{args.pairs}:{lineno}: values must be finite")
+            if len(pairs) == MAX_PAIRS:
+                raise QrfError(f"{args.pairs}: more than {MAX_PAIRS} pairs")
             pairs.append(PredictionPair(truth, forecast))
     if not pairs:
         raise QrfError(f"{args.pairs}: no pairs found")

@@ -32,8 +32,6 @@ from . import gates as g
 from .exceptions import DegenerateRangeError, UnsupportedForestError
 from .model import InputObject, RandomForest, branch_outcomes
 
-_BLOCK_NAMES = ((g._ID, "I"), (g._X, "X"), (g._Z, "Z"), (g._NEG_ID, "-I"))
-
 
 def _label_range(forest: RandomForest) -> tuple[float, float]:
     lo, hi = forest.y_min, forest.y_max
@@ -152,19 +150,16 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
 
 
 def _fmt_blocks(blocks: np.ndarray) -> str:
-    """The blocks, comma-separated, each by its name in ``_BLOCK_NAMES`` or
-    else by its four entries."""
-    names = np.full(len(blocks), "", dtype=object)
-    for named, name in _BLOCK_NAMES:
-        names[(blocks == named).all(axis=(1, 2))] = name
-    return ",".join(
-        name or "(" + ";".join(f"{v.real:.6g}{v.imag:+.6g}j" for v in block.ravel()) + ")"
-        for name, block in zip(names.tolist(), blocks)
-    )
+    """The blocks, comma-separated, each named X or I: the only blocks
+    ``compile_plus1`` builds.  Any other block raises ``ValueError``."""
+    is_x = (blocks == g._X).all(axis=(1, 2))
+    if not (is_x | (blocks == g._ID).all(axis=(1, 2))).all():
+        raise ValueError("dump_circuit prints only X and I blocks")
+    return ",".join(np.where(is_x, "X", "I").tolist())
 
 
 def dump_circuit(circuit: CompiledCircuit) -> str:
-    """Line-per-gate text form for inspection and fixtures."""
+    """Line-per-gate text form for inspection and fixtures; blocks print as X or I."""
     lines = [
         "qubits: %d  %s"
         % (

@@ -17,10 +17,12 @@ MAX_SIM_QUBITS = 22
 MAX_FOREST_SLOTS = 2**20
 
 # Longest inputs read: a forest document in bytes (a canonical one takes about
-# 158 a slot, at most 190), an --input file, a --pairs line (characters).
+# 158 a slot, at most 190), an --input file, a --pairs line (characters) and
+# --pairs file (pairs, each held as a PredictionPair of about 184 bytes).
 MAX_FOREST_BYTES = 256 * MAX_FOREST_SLOTS
 MAX_INPUT_BYTES = 2**20
 MAX_PAIRS_LINE = 2**12
+MAX_PAIRS = 2**20
 
 # Largest category count of a discrete attribute: thresholds and input values
 # are float64, which hold every integer up to 2^53 exactly and no longer tell

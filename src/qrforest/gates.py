@@ -5,7 +5,7 @@ block per select-register value) and ``ucr`` (uniformly controlled Ry: one
 angle per value).  A one-qubit unitary is a ``ucg`` with no selects, and an
 Ry a ``ucr`` with no selects.  Every gate may additionally carry plain
 controls as ``(qubit, required_value)`` pairs; a CNOT is an ``x`` with one
-1-valued control.
+1-valued control.  ``Gate`` refuses a kind outside ``KINDS`` when built.
 
 Conventions, fixed package-wide:
   * qubit 0 is the most significant bit of a basis index;
@@ -16,9 +16,9 @@ Parameters are held in one form: a read-only array, copied when the gate
 is built -- ucg blocks as ``(2^s, 2, 2)`` complex128, ucr angles as
 ``(2^s,)`` float64.  Gates compare by value (``np.array_equal``) and are not
 hashable.  The simulator reads its 2x2 entries from these parameters (and
-from the module constants ``_H`` and ``_X`` for h and x) when it binds a
-gate.  The dense-matrix oracle the kernel is checked against, and the
-gate-level inverse, live with the tests, so the two share no code.
+``_H``, ``_X`` for h, x) when it binds a gate.  ``_X`` and ``_ID`` are the
+compiler's walk blocks; there is no Z or -I.  The dense-matrix oracle and
+the gate-level inverse live with the tests, so the two share no code.
 """
 from __future__ import annotations
 
@@ -36,13 +36,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _H = _read_only(np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2))
 _ID = _read_only(np.eye(2, dtype=np.complex128))
 _X = _read_only(np.array([[0, 1], [1, 0]], dtype=np.complex128))
-_Z = _read_only(np.diag(np.array([1, -1], dtype=np.complex128)))
-_NEG_ID = _read_only(-_ID)
+KINDS = ("h", "x", "swap", "ucg", "ucr")
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One gate of kind h, x, swap, ucg or ucr, built by the functions below.
+    """A gate of a ``KINDS`` kind (checked here), built by the functions below.
 
     ``params`` is ``(blocks,)`` for a ucg, the read-only ``(2^s, 2, 2)``
     array, and ``(angles,)`` for a ucr, the read-only ``(2^s,)`` array;
@@ -56,6 +55,8 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         used = list(self.qubits) + [q for q, _ in self.controls]
         if len(set(used)) != len(used):
             raise ValueError(f"gate references a qubit twice: {self}")

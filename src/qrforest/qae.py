@@ -225,7 +225,7 @@ def estimate_with_boosting(circuit: CompiledCircuit, config: QaeConfig) -> Estim
     """Median of independent runs (sub-seeded from config.seed)."""
     r = config.resolved_repetitions
     outcomes = sample_outcomes(circuit, config.t, config.seed, r)
-    grid = {k: estimate_of(k, config.t) for k in set(outcomes)}  # one float per outcome
+    grid = {k: estimate_of(k, config.t) for k in set(outcomes)}  # runs that drew k share one float
     raw = tuple(grid[k] for k in outcomes)
     beta = sorted(raw)[r // 2]
     return EstimationResult(

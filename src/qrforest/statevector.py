@@ -60,19 +60,20 @@ class StateVector:
         return self._amp
 
     def bind(self, gates: Iterable[g.Gate]) -> tuple[list[tuple], tuple[int, ...]]:
-        """Check the gates, then fix per gate two views of this state's buffer
-        (the amplitudes as a ``(2,) * n`` array with the control axes fixed,
-        and the target axis at 0 and at 1, or a controlled swap's two axes at
-        (1, 0) and (0, 1)) and the four entries of its 2x2 blocks, read from
-        the gate's parameters and broadcast over them: views of a ucg's
-        blocks, of the H or X block (a swap's is X), and for a ucr the real
-        float64 ``(c, -s, s, c)`` with ``c, s = cos, sin`` of its half-angles,
-        each placed in buffer order once, C-contiguous and read-only.  Every
-        step is of this one kind.  An uncontrolled swap emits no step: it
-        exchanges which buffer axes its two qubits hold, and later gates index
-        the axes their qubits hold then.  Returns the steps, which expect the
-        buffer in qubit order, and ``axis``: ``axis[q]`` is the buffer axis
-        that holds qubit ``q`` after they run."""
+        """Check only that each gate's qubits lie on this state (``Gate``
+        checked its kind when it was built), then fix per gate two views of
+        this state's buffer (the amplitudes as a ``(2,) * n`` array with the
+        control axes fixed, and the target axis at 0 and at 1, or a controlled
+        swap's two axes at (1, 0) and (0, 1)) and the four entries of its 2x2
+        blocks, read from the gate's parameters and broadcast over them: views
+        of a ucg's blocks, of the H or X block (a swap's is X), and for a ucr
+        the real float64 ``(c, -s, s, c)`` with ``c, s = cos, sin`` of its
+        half-angles, each placed in buffer order once, C-contiguous and
+        read-only.  Every step is of this one kind.  An uncontrolled swap emits
+        no step: it exchanges which buffer axes its two qubits hold, and later
+        gates index the axes their qubits hold then.  Returns the steps, which
+        expect the buffer in qubit order, and ``axis``: ``axis[q]`` is the
+        buffer axis that holds qubit ``q`` after they run."""
         n = self.num_qubits
         psi = self._amp.reshape((2,) * n)
         axis = list(range(n))  # axis[q]: the buffer axis that holds qubit q
@@ -81,8 +82,6 @@ class StateVector:
             for q in list(gate.qubits) + [q for q, _ in gate.controls]:
                 if q >= n:
                     raise ValueError(f"gate touches qubit {q} but state has {n}")
-            if gate.kind not in ("h", "x", "swap", "ucg", "ucr"):
-                raise ValueError(f"unknown gate kind {gate.kind!r}")
             if gate.kind == "swap" and not gate.controls:
                 qa, qb = gate.qubits
                 axis[qa], axis[qb] = axis[qb], axis[qa]

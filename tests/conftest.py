@@ -190,6 +190,9 @@ MAX_DENSE_QUBITS = 10
 
 _H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 _X = np.array([[0, 1], [1, 0]])
+_ID = np.eye(2)
+_Z = np.diag([1, -1])
+_NEG_ID = -_ID
 
 
 def _ry_block(angle):
@@ -265,7 +268,7 @@ def controlled(gate, qubit, value=1):
     """
     if gate.kind == "ucg":
         (blocks,) = gate.params
-        pad = np.broadcast_to(g._ID, blocks.shape)
+        pad = np.broadcast_to(_ID, blocks.shape)
         new = np.concatenate((blocks, pad) if value == 0 else (pad, blocks))
         return g.ucg((qubit, *gate.selects), gate.target, new)
     if gate.kind == "ucr":
@@ -300,7 +303,7 @@ def compile_inverse(circuit):
 
 def pauli_z(q):
     """Z as a ucg with no selects."""
-    return g.ucg((), q, [g._Z])
+    return g.ucg((), q, [_Z])
 
 
 def build_V(circuit):
@@ -314,8 +317,8 @@ def reflection_about_zero(qubits):
     The engine negates every amplitude but index 0's instead."""
     if not qubits:
         raise ValueError("reflection needs at least one qubit")
-    rest = np.broadcast_to(g._NEG_ID, (2 ** (len(qubits) - 1) - 1, 2, 2))
-    return g.ucg(tuple(qubits[:-1]), qubits[-1], np.concatenate((g._Z[None], rest)))
+    rest = np.broadcast_to(_NEG_ID, (2 ** (len(qubits) - 1) - 1, 2, 2))
+    return g.ucg(tuple(qubits[:-1]), qubits[-1], np.concatenate((_Z[None], rest)))
 
 
 def build_D(circuit):

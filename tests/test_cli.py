@@ -224,6 +224,17 @@ def test_metrics_refuses_an_endless_pairs_line(tmp_path, capsys):
     assert f"{pairs}:2: longer than {MAX_PAIRS_LINE} characters" in capsys.readouterr().err
 
 
+def test_metrics_refuses_more_than_max_pairs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_PAIRS", 3)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("1 1\n\n2 1\n1 2\n\n")  # blank lines hold no pair
+    assert run_cli("metrics", "--pairs", str(pairs)) == 0
+    assert capsys.readouterr().out.startswith("pairs: 3\n")
+    pairs.write_text("1 1\n2 1\n1 2\n3 3\n")
+    assert run_cli("metrics", "--pairs", str(pairs)) == 3
+    assert capsys.readouterr().err == f"error: {pairs}: more than 3 pairs\n"
+
+
 @pytest.mark.parametrize("raw", (
     b"0.5,\r\n1\r2\n", b"\xc3\xa9t\xc3\xa9\r", b"", b"\xff\xfe bad", b"ok\xc3",
 ))

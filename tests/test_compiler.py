@@ -22,10 +22,12 @@ from conftest import (
     gate_menu,
     generate_random_input,
     grover_iterate,
+    pauli_z,
     probability,
     random_instance,
     random_statevector,
     recursive_walk_oracle,
+    reflection_about_zero,
     two_leaf_forest,
 )
 from qrforest import gates as g
@@ -451,6 +453,13 @@ def test_dump_circuit_text(reference):
     assert any(line.startswith("swap q1 q2") for line in lines)
     assert any(line.startswith("ucg selects=q0,q1,q2 target=q3 blocks=") for line in lines)
     assert lines[-1].startswith("ucr selects=q0,q1,q2,q3 target=q4 angles=")
+
+
+def test_dump_circuit_refuses_blocks_compile_never_builds(reference):
+    circuit = compile_forest_op(*reference)
+    for gate in (pauli_z(4), reflection_about_zero((0, 4)), g.ucg((0,), 4, [g._X, 1j * g._X])):
+        with pytest.raises(ValueError, match="only X and I blocks"):
+            dump_circuit(replace(circuit, gates=circuit.gates + (gate,)))
 
 
 def test_dump_circuit_golden():

@@ -157,6 +157,12 @@ def test_ucr_angles_are_one_read_only_array():
             g.ucr((0, 1), 2, nested)
 
 
+def test_gate_kind_is_checked_when_built():
+    with pytest.raises(ValueError, match="unknown gate kind 'foo'"):
+        g.Gate("foo", (0,))
+    assert g.KINDS == ("h", "x", "swap", "ucg", "ucr")
+
+
 def test_block_and_angle_counts_validated():
     with pytest.raises(ValueError):
         g.ucg((0, 1), 2, [np.eye(2)] * 3)
