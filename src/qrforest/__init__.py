@@ -14,7 +14,6 @@ from .compiler import (
 from .exceptions import (
     DegenerateRangeError,
     ForestFormatError,
-    MetricError,
     QrfError,
     ResourceLimitError,
     SchemaMismatchError,
@@ -26,12 +25,11 @@ from .model import (
     Attribute,
     InputObject,
     METRIC_NAMES,
-    PredictionPair,
     RandomForest,
     beta_classical,
     beta_to_R,
     branch_outcomes,
-    error_metric,
+    error_metrics,
     forecast_classical,
     generate_random_forest,
     walk_forest,

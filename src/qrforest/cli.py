@@ -21,18 +21,18 @@ import math
 import os
 import sys
 import time
+from array import array
 
 from .config import MAX_FOREST_BYTES, MAX_INPUT_BYTES, MAX_PAIRS, MAX_PAIRS_LINE
-from .exceptions import DegenerateRangeError, MetricError, QrfError, ResourceLimitError
+from .exceptions import DegenerateRangeError, QrfError, ResourceLimitError
 from .forest_io import load_forest, save_forest
 from .model import (
     Attribute,
     InputObject,
     METRIC_NAMES,
-    PredictionPair,
     beta_classical,
     beta_to_R,
-    error_metric,
+    error_metrics,
     forecast_classical,
     generate_random_forest,
 )
@@ -72,14 +72,18 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _read_text(path: str, cap: int) -> str:
     """Text-mode ``open(path).read()`` of at most ``cap`` bytes: one read of a
-    regular file's size + 1, else a MiB a read, refused once past ``cap``."""
+    regular file's size + 1, else a MiB a read, refused once past ``cap``.
+    A decoding error becomes a ``QrfError`` that names the path."""
     with open(path, "rb") as fh:
         parts = [fh.read(min(os.fstat(fh.fileno()).st_size, cap) + 1)]
         while (size := sum(map(len, parts))) <= cap and (part := fh.read(min(cap + 1 - size, 1 << 20))):
             parts.append(part)
     if size > cap:
         raise QrfError(f"{path}: longer than {cap} bytes")
-    return io.TextIOWrapper(io.BytesIO(b"".join(parts))).read()
+    try:
+        return io.TextIOWrapper(io.BytesIO(b"".join(parts))).read()
+    except UnicodeDecodeError as e:
+        raise QrfError(f"{path}: {e}") from None
 
 
 def _number_list(text: str) -> InputObject | None:
@@ -115,17 +119,6 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _emit(doc: dict, text: str, args) -> None:
     _write_out(json.dumps(doc, indent=2, allow_nan=False) + "\n" if args.format == "structured" else text, args.out)
-
-
-def _metric_table(pairs: list[PredictionPair], names) -> dict:
-    """Each named metric over the pairs, ``None`` where it is undefined."""
-    table = {}
-    for name in names:
-        try:
-            table[name] = error_metric(pairs, name)
-        except MetricError:
-            table[name] = None
-    return table
 
 
 def cmd_generate(args) -> int:
@@ -204,10 +197,10 @@ def cmd_forecast(args) -> int:
             )
             if args.mode == "both":  # run_forecast refuses a degenerate range, so classical_beta is set
                 if args.target == "beta":
-                    pair = (classical_beta, result.beta_estimate)
+                    truth, estimate = classical_beta, result.beta_estimate
                 else:
-                    pair = (classical_r, result.r_estimate)
-                doc["comparison"] = _metric_table([PredictionPair(*pair)], METRIC_NAMES)
+                    truth, estimate = classical_r, result.r_estimate
+                doc["comparison"] = error_metrics([truth], [estimate])
                 lines.append(
                     "comparison: "
                     + "  ".join(
@@ -291,37 +284,42 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    pairs = []
-    with open(args.pairs) as fh:
-        for lineno, line in enumerate(iter(lambda: fh.readline(MAX_PAIRS_LINE + 1), ""), 1):
-            if len(line) > MAX_PAIRS_LINE:
-                raise QrfError(f"{args.pairs}:{lineno}: longer than {MAX_PAIRS_LINE} characters")
-            line = line.strip()
-            if not line:
-                continue
-            try:  # a count other than two fails to unpack
-                truth, forecast = map(float, line.replace(",", " ").split())
-            except ValueError:
-                raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line") from None
-            if not (math.isfinite(truth) and math.isfinite(forecast)):
-                raise QrfError(f"{args.pairs}:{lineno}: values must be finite")
-            if len(pairs) == MAX_PAIRS:
-                raise QrfError(f"{args.pairs}: more than {MAX_PAIRS} pairs")
-            pairs.append(PredictionPair(truth, forecast))
-    if not pairs:
+    truths, forecasts = array("d"), array("d")
+    try:
+        with open(args.pairs) as fh:
+            for lineno, line in enumerate(iter(lambda: fh.readline(MAX_PAIRS_LINE + 1), ""), 1):
+                if lineno > MAX_PAIRS:
+                    raise QrfError(f"{args.pairs}: more than {MAX_PAIRS} lines")
+                if len(line) > MAX_PAIRS_LINE:
+                    raise QrfError(f"{args.pairs}:{lineno}: longer than {MAX_PAIRS_LINE} characters")
+                line = line.strip()
+                if not line:
+                    continue
+                try:  # a count other than two fails to unpack
+                    truth, forecast = map(float, line.replace(",", " ").split())
+                except ValueError:
+                    raise QrfError(f"{args.pairs}:{lineno}: expected two numbers per line") from None
+                if not (math.isfinite(truth) and math.isfinite(forecast)):
+                    raise QrfError(f"{args.pairs}:{lineno}: values must be finite")
+                truths.append(truth)
+                forecasts.append(forecast)
+    except UnicodeDecodeError as e:
+        raise QrfError(f"{args.pairs}: {e}") from None
+    if not truths:
         raise QrfError(f"{args.pairs}: no pairs found")
     wanted = METRIC_NAMES if args.metrics is None else tuple(args.metrics.split(","))
     for name in wanted:
         if name not in METRIC_NAMES:
             raise QrfError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")
-    table = _metric_table(pairs, wanted)
+    every = error_metrics(truths, forecasts)
+    table = {name: every[name] for name in wanted}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "metrics",
-        "pairs": len(pairs),
+        "pairs": len(truths),
         "metrics": table,
     }
-    lines = [f"pairs: {len(pairs)}"] + [
+    lines = [f"pairs: {len(truths)}"] + [
         f"{k}: {v!r}" if v is not None else f"{k}: degenerate" for k, v in table.items()
     ]
     _emit(doc, "\n".join(lines) + "\n", args)

@@ -17,10 +17,6 @@ class DegenerateRangeError(QrfError):
     """All leaf labels are equal: the normalized target is undefined."""
 
 
-class MetricError(QrfError):
-    """An error metric hit a zero denominator."""
-
-
 class ForestFormatError(QrfError):
     """Forest document is malformed; message names the offending location."""
 

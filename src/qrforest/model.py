@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import MAX_CATEGORIES, MAX_FOREST_SLOTS
-from .exceptions import DegenerateRangeError, MetricError, SchemaMismatchError
+from .exceptions import DegenerateRangeError, SchemaMismatchError
 
 PREDICATE_KINDS = ("threshold-greater", "equals")
 EQUALS = PREDICATE_KINDS.index("equals")
@@ -144,12 +144,6 @@ class InputObject:
                 raise SchemaMismatchError(f"value {v!r} invalid for attribute {i + 1} ({attr.kind})")
 
 
-@dataclass(frozen=True)
-class PredictionPair:
-    truth: float
-    forecast: float
-
-
 def branch_outcomes(forest: RandomForest, x: InputObject) -> np.ndarray:
     """``(n, 2^h)`` bool array: slot ``j`` of row ``i`` is tree ``i``'s
     predicate outcome at heap node ``j`` on ``x`` (slot 0 is meaningless)."""
@@ -197,43 +191,32 @@ def beta_to_R(beta: float, y_min: float, y_max: float) -> float:
     return beta * (y_max - y_min) + y_min
 
 
-def error_metric(pairs: list[PredictionPair], metric: str) -> float:
-    """One of MAE, MSE, RMSE, MAPE, wMAPE, sMAPE over (truth, forecast) pairs.
+def error_metrics(truth, forecast) -> dict[str, float | None]:
+    """The ``METRIC_NAMES`` (MAE, MSE, RMSE, MAPE, wMAPE, sMAPE) over two
+    equal-length float columns of truths and forecasts, all from one
+    ``|y - f|``.
 
-    Raises MetricError on a zero denominator (MAPE: a truth is 0; wMAPE: all
-    truths are 0; sMAPE: a pair is (0, 0)) and on a value that overflows.
+    A metric is ``None`` where its denominator is 0 (MAPE: a truth is 0;
+    wMAPE: all truths are 0; sMAPE: a pair is (0, 0)) or its value
+    overflows.  Every term is non-negative, so a zero denominator leaves an
+    infinity or a NaN in the value, and one finiteness test finds both.
     """
-    if metric not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {metric!r}")
-    if not pairs:
-        raise ValueError("need at least one pair")
-    y = np.array([p.truth for p in pairs], dtype=float)
-    f = np.array([p.forecast for p in pairs], dtype=float)
-    with np.errstate(all="ignore"):  # overflow is refused below
+    y = np.asarray(truth, dtype=np.float64)
+    f = np.asarray(forecast, dtype=np.float64)
+    if y.ndim != 1 or y.shape != f.shape or not y.size:
+        raise ValueError("need two equal-length columns of at least one pair")
+    with np.errstate(all="ignore"):  # a non-finite value reads None below
         err = np.abs(y - f)
-        if metric == "MAE":
-            value = err.mean()
-        elif metric == "MSE":
-            value = (err**2).mean()
-        elif metric == "RMSE":
-            value = np.sqrt((err**2).mean())
-        elif metric == "MAPE":
-            if np.any(y == 0):
-                raise MetricError("MAPE undefined: a truth value is 0")
-            value = (err / np.abs(y)).mean()
-        elif metric == "wMAPE":
-            denom = np.abs(y).sum()
-            if denom == 0:
-                raise MetricError("wMAPE undefined: truth values sum to 0 in absolute value")
-            value = err.sum() / denom
-        else:
-            denom = np.abs(y) + np.abs(f)
-            if np.any(denom == 0):
-                raise MetricError("sMAPE undefined: a pair is (0, 0)")
-            value = (err / denom).mean()
-    if not np.isfinite(value):
-        raise MetricError(f"{metric} is not finite ({float(value)!r})")
-    return float(value)
+        mse = (err**2).mean()
+        values = (
+            err.mean(),
+            mse,
+            np.sqrt(mse),
+            (err / np.abs(y)).mean(),
+            err.sum() / np.abs(y).sum(),
+            (err / (np.abs(y) + np.abs(f))).mean(),
+        )
+    return {name: float(v) if np.isfinite(v) else None for name, v in zip(METRIC_NAMES, values)}
 
 
 # Generator.integers and Generator.random as numpy computes them from PCG64's

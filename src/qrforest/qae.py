@@ -22,8 +22,8 @@ Q = D V, D = U S0 U^-1, S0 = 2|0><0| - I, conjugating by U gives
 all-zero amplitude of one running vector that starts at |0>.  The engine
 holds only that vector.  Each of ``t - 1`` steps runs redo (U's bound steps,
 which leave it in U's output axis order; its swaps only relabel axes),
-negates the amplitudes where phi, the last work qubit, reads 1 on the
-buffer axis the axis map gives it (V), runs undo (U's bound steps
+negates the amplitudes where phi (the circuit's "phi" register) reads 1
+on the buffer axis the axis map gives it (V), runs undo (U's bound steps
 backwards, each block transposed: every block of U is real; they end in
 qubit order), negates every amplitude but index 0 (S0), and reads ``g(m)``
 at index 0, so no step copies the state and none takes an inner product.
@@ -183,7 +183,8 @@ class PhaseEstimation:
         redo, axis = sv.bind(circuit.gates)
         undo = invert(redo)
         v = sv.amplitudes
-        phi_one = v.reshape((2,) * w)[(slice(None),) * axis[w - 1] + (1, ...)]  # V's view
+        phi = circuit.register("phi").start
+        phi_one = v.reshape((2,) * w)[(slice(None),) * axis[phi] + (1, ...)]  # V's view
         g = np.empty(t, dtype=np.complex128)
         g[0] = 1.0
         for m in range(1, t):

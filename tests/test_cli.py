@@ -14,7 +14,7 @@ from qrforest import cli, qae
 from qrforest.cli import _emit, _read_text, main
 from qrforest.compiler import compile_forest_op
 from qrforest.config import MAX_FOREST_BYTES, MAX_FOREST_SLOTS, MAX_INPUT_BYTES, MAX_PAIRS_LINE
-from qrforest.exceptions import ForestFormatError
+from qrforest.exceptions import ForestFormatError, QrfError
 from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import Attribute, RandomForest, beta_to_R
 from qrforest.qae import MAX_REPETITIONS, QaeConfig, estimate_with_boosting
@@ -227,12 +227,47 @@ def test_metrics_refuses_an_endless_pairs_line(tmp_path, capsys):
 def test_metrics_refuses_more_than_max_pairs(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_PAIRS", 3)
     pairs = tmp_path / "pairs.txt"
-    pairs.write_text("1 1\n\n2 1\n1 2\n\n")  # blank lines hold no pair
+    pairs.write_text("1 1\n\n2 1\n")  # a blank line holds no pair
     assert run_cli("metrics", "--pairs", str(pairs)) == 0
-    assert capsys.readouterr().out.startswith("pairs: 3\n")
+    assert capsys.readouterr().out.startswith("pairs: 2\n")
     pairs.write_text("1 1\n2 1\n1 2\n3 3\n")
     assert run_cli("metrics", "--pairs", str(pairs)) == 3
-    assert capsys.readouterr().err == f"error: {pairs}: more than 3 pairs\n"
+    assert capsys.readouterr().err == f"error: {pairs}: more than 3 lines\n"
+
+
+def test_metrics_counts_blank_lines_against_the_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_PAIRS", 3)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("\n\n\n1 2\n")
+    assert run_cli("metrics", "--pairs", str(pairs)) == 3
+    assert capsys.readouterr().err == f"error: {pairs}: more than 3 lines\n"
+
+
+def test_metrics_memory_at_two_to_the_16_pairs(tmp_path, capsys):
+    # Each pair is two float64 entries of two columns, not an object.
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("2 1.5\n" * 2**16)
+    code, peak = _traced_run("metrics", "--pairs", str(pairs))
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"pairs: {2**16}\nMAE: 0.5\n")
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("command", (
+    ("forecast", "--forest", "@", "--input", "0.2"),
+    ("forecast", "--forest", "@forest", "--input", "@"),
+    ("metrics", "--pairs", "@"),
+))
+def test_an_undecodable_file_is_named(tmp_path, capsys, command):
+    path = tmp_path / "undecodable.txt"
+    path.write_bytes(b"0.5\n\xff\n")
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        with open(path) as fh:
+            fh.read()
+    forest = write_two_tree_forest(tmp_path)
+    argv = [str(path) if a == "@" else str(forest) if a == "@forest" else a for a in command]
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err == f"error: {path}: {decoding.value}\n"
 
 
 @pytest.mark.parametrize("raw", (
@@ -245,9 +280,9 @@ def test_capped_read_decodes_as_text_mode_open(tmp_path, raw):
         with open(path) as fh:
             expected = fh.read()
     except UnicodeDecodeError as e:
-        with pytest.raises(UnicodeDecodeError) as got:
+        with pytest.raises(QrfError) as got:
             _read_text(str(path), 64)
-        assert str(got.value) == str(e)
+        assert str(got.value) == f"{path}: {e}"
     else:
         assert _read_text(str(path), 64) == expected
 

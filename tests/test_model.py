@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,18 +17,17 @@ from conftest import (
     recursive_walk_oracle,
     two_leaf_forest,
 )
-from qrforest.exceptions import DegenerateRangeError, MetricError, SchemaMismatchError
+from qrforest.exceptions import DegenerateRangeError, SchemaMismatchError
 from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import (
     EQUALS,
     Attribute,
     InputObject,
     METRIC_NAMES,
-    PredictionPair,
     RandomForest,
     beta_classical,
     beta_to_R,
-    error_metric,
+    error_metrics,
     forecast_classical,
     generate_random_forest,
     walk_forest,
@@ -151,45 +151,82 @@ def test_degenerate_range_rejected():
 
 
 def test_metrics_zero_when_forecast_is_exact():
-    pairs = [PredictionPair(v, v) for v in (1.5, -2.0, 4.0)]
-    for name in METRIC_NAMES:
-        assert error_metric(pairs, name) == 0.0
+    values = (1.5, -2.0, 4.0)
+    assert error_metrics(values, values) == dict.fromkeys(METRIC_NAMES, 0.0)
 
 
 def test_metrics_single_pair_values():
-    pairs = [PredictionPair(2.0, 1.0)]
-    assert error_metric(pairs, "MAE") == 1.0
-    assert error_metric(pairs, "MSE") == 1.0
-    assert error_metric(pairs, "RMSE") == 1.0
-    assert error_metric(pairs, "MAPE") == 0.5
-    assert error_metric(pairs, "wMAPE") == 0.5
-    assert error_metric(pairs, "sMAPE") == pytest.approx(1.0 / 3.0, rel=1e-15)
+    m = error_metrics([2.0], [1.0])
+    assert tuple(m) == METRIC_NAMES
+    assert m["MAE"] == 1.0
+    assert m["MSE"] == 1.0
+    assert m["RMSE"] == 1.0
+    assert m["MAPE"] == 0.5
+    assert m["wMAPE"] == 0.5
+    assert m["sMAPE"] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_metric_relations_on_random_pairs():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        pairs = [
-            PredictionPair(float(a), float(b))
-            for a, b in rng.normal(size=(6, 2)) + 2.0
-        ]
-        values = {name: error_metric(pairs, name) for name in METRIC_NAMES}
+        truth, forecast = (rng.normal(size=(6, 2)) + 2.0).T
+        values = error_metrics(truth, forecast)
         assert all(v >= 0.0 for v in values.values())
         assert values["MSE"] == pytest.approx(values["RMSE"] ** 2, rel=1e-12)
         assert values["MAE"] <= values["RMSE"] + 1e-15
 
 
 def test_metric_degenerate_denominators():
-    with pytest.raises(MetricError):
-        error_metric([PredictionPair(0.0, 1.0)], "MAPE")
-    with pytest.raises(MetricError):
-        error_metric([PredictionPair(0.0, 1.0), PredictionPair(0.0, 2.0)], "wMAPE")
-    with pytest.raises(MetricError):
-        error_metric([PredictionPair(0.0, 0.0)], "sMAPE")
+    assert error_metrics([0.0], [1.0]) == {
+        "MAE": 1.0, "MSE": 1.0, "RMSE": 1.0, "MAPE": None, "wMAPE": None, "sMAPE": 1.0,
+    }
+    assert error_metrics([0.0, 0.0], [1.0, 2.0])["wMAPE"] is None
+    assert error_metrics([0.0, 1.0], [0.0, 2.0])["sMAPE"] is None
     with pytest.raises(ValueError):
-        error_metric([], "MAE")
+        error_metrics([], [])
     with pytest.raises(ValueError):
-        error_metric([PredictionPair(1.0, 1.0)], "MAD")
+        error_metrics([1.0], [1.0, 2.0])
+
+
+def _metrics_oracle(truth, forecast):
+    """Each metric written out over plain floats, ``None`` where its
+    denominator is 0."""
+    n = len(truth)
+    err = [abs(y - f) for y, f in zip(truth, forecast)]
+    mse = math.fsum(e * e for e in err) / n
+    return {
+        "MAE": math.fsum(err) / n,
+        "MSE": mse,
+        "RMSE": math.sqrt(mse),
+        "MAPE": math.fsum(e / abs(y) for e, y in zip(err, truth)) / n if all(truth) else None,
+        "wMAPE": math.fsum(err) / math.fsum(abs(y) for y in truth) if any(truth) else None,
+        "sMAPE": (
+            math.fsum(e / (abs(y) + abs(f)) for e, y, f in zip(err, truth, forecast)) / n
+            if all(y or f for y, f in zip(truth, forecast)) else None
+        ),
+    }
+
+
+# Magnitudes below 1e-290 become a zero of the same sign: over such a
+# truth, MAPE of a 1e6 error overflows with a denominator that is not 0.
+# Overflow has its own test (test_cli::test_metrics_that_overflow_are_degenerate).
+_METRIC_VALUE = st.floats(-1e6, 1e6).map(lambda v: v if abs(v) >= 1e-290 else math.copysign(0.0, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_METRIC_VALUE, _METRIC_VALUE) | st.just((0.0, 0.0)), min_size=1, max_size=20))
+@example([(0.0, 1.0), (2.0, 2.0)])
+@example([(-0.0, 1.0), (0.0, 2.0)])
+@example([(3.0, 1.0), (0.0, -0.0)])
+def test_error_metrics_agree_with_a_per_metric_oracle(pairs):
+    truth, forecast = [y for y, _ in pairs], [f for _, f in pairs]
+    got, want = error_metrics(truth, forecast), _metrics_oracle(truth, forecast)
+    assert tuple(got) == METRIC_NAMES
+    for name in METRIC_NAMES:
+        if want[name] is None:
+            assert got[name] is None, name
+        else:
+            assert got[name] is not None and math.isclose(got[name], want[name], rel_tol=1e-12), name
 
 
 def test_generator_is_deterministic():

@@ -101,6 +101,32 @@ def test_distribution_matches_closed_form_random_instance():
     np.testing.assert_allclose(engine.distribution(), expected, atol=1e-12)
 
 
+def test_phi_is_found_through_its_register():
+    # Qubit q relabelled (q + 1) % w: the same circuit with phi on qubit 0.
+    circuit = compile_forest_op(*random_instance(4, 2, 80))
+    w = circuit.num_qubits
+
+    def relabel(q):
+        return (q + 1) % w
+
+    moved = dataclasses.replace(
+        circuit,
+        registers=tuple(dataclasses.replace(r, start=relabel(r.start)) for r in circuit.registers),
+        gates=tuple(
+            dataclasses.replace(
+                gate,
+                qubits=tuple(map(relabel, gate.qubits)),
+                controls=tuple((relabel(q), v) for q, v in gate.controls),
+            )
+            for gate in circuit.gates
+        ),
+    )
+    assert moved.register("phi").qubits == (0,)
+    np.testing.assert_allclose(
+        PhaseEstimation(moved, 16).distribution(), PhaseEstimation(circuit, 16).distribution(), rtol=0, atol=1e-12
+    )
+
+
 def test_half_amplitude_distribution_at_t32():
     # beta = 0.5 sits exactly on the t=32 grid (k = 8 and its mirror 24)
     forest, x = _half_beta_instance()
