@@ -40,7 +40,6 @@ from .qae import (
     QaeConfig,
     error_bound,
     estimate_of,
-    estimate_with_boosting,
     query_count,
     repetitions_for_delta,
     run_forecast,

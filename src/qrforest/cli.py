@@ -36,9 +36,8 @@ from .model import (
     forecast_classical,
     generate_random_forest,
 )
-from .qae import QaeConfig, check_width, error_bound, estimate_of, query_count, run_forecast, sample_outcomes
+from .qae import QaeConfig, error_bound, estimate_of, query_count, run_forecast, sample_outcomes
 from .reference import REFERENCE_RUNS, REFERENCE_T, reference_forest, reference_input
-from .compiler import check_compilable, compile_forest_op
 
 SCHEMA_VERSION = 1
 SUCCESS_FLOOR = 8.0 / math.pi**2
@@ -215,15 +214,12 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.runs < 1:
-        raise QrfError("need at least one run")
     forest, x = reference_forest(), reference_input()
-    check_width(check_compilable(forest, x), args.t)
+    outcomes = sample_outcomes(forest, x, args.t, args.seed, args.runs)
     beta_cl = beta_classical(forest, x)
     r_cl = forecast_classical(forest, x)
     spread = forest.y_max - forest.y_min
     bound = error_bound(beta_cl, args.t)
-    outcomes = sample_outcomes(compile_forest_op(forest, x), args.t, args.seed, args.runs)
 
     runs = []
     for i, outcome in enumerate(outcomes):
@@ -284,6 +280,10 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    wanted = METRIC_NAMES if args.metrics is None else tuple(args.metrics.split(","))
+    for name in wanted:
+        if name not in METRIC_NAMES:
+            raise QrfError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")
     truths, forecasts = array("d"), array("d")
     try:
         with open(args.pairs) as fh:
@@ -307,10 +307,6 @@ def cmd_metrics(args) -> int:
         raise QrfError(f"{args.pairs}: {e}") from None
     if not truths:
         raise QrfError(f"{args.pairs}: no pairs found")
-    wanted = METRIC_NAMES if args.metrics is None else tuple(args.metrics.split(","))
-    for name in wanted:
-        if name not in METRIC_NAMES:
-            raise QrfError(f"unknown metric {name!r} (choose from {', '.join(METRIC_NAMES)})")
     every = error_metrics(truths, forecasts)
     table = {name: every[name] for name in wanted}
     doc = {

@@ -29,9 +29,10 @@ qubit order), negates every amplitude but index 0 (S0), and reads ``g(m)``
 at index 0, so no step copies the state and none takes an inner product.
 The width cap counts the textbook circuit's work + phase qubits.
 
-The outcome distribution is a deterministic function of (forest, input, t)
-and is simulated once per call of ``sample_outcomes``; the repetitions of
-that call stay independent through their measurement seeds.
+``sample_outcomes`` is the one path from (forest, input) to phase outcomes:
+it makes every check before it compiles, then simulates the distribution, a
+deterministic function of (forest, input, t), once per call; its runs stay
+independent through their measurement seeds.
 
 Counting conventions (exposed through the result object) are those of the
 textbook circuit, not of the simulator's work: one preparation of the
@@ -42,7 +43,8 @@ walks ``height`` levels, i.e. does ``height`` classical input queries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +91,8 @@ class QaeConfig:
     Give either ``repetitions`` (odd) or ``delta``; with neither, one
     repetition is run.  ``target`` selects whether the result also carries
     the forecast mapped back to the raw leaf-label scale ('r') or just the
-    normalized estimate ('beta').  A ``seed`` must be non-negative.
+    normalized estimate ('beta').  A ``seed`` must be non-negative.  ``t``,
+    ``repetitions`` and ``seed`` are stored as ints; a bool or a float is refused.
     """
 
     t: int
@@ -99,6 +102,12 @@ class QaeConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("t", "repetitions", "seed"):
+            value = getattr(self, name)
+            if name == "t" or value is not None:
+                if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, operator.index(value))  # as an int; the class is frozen
         _check_t(self.t)
         _check_seed(self.seed)
         if self.repetitions is not None and self.delta is not None:
@@ -207,39 +216,23 @@ class PhaseEstimation:
         return min(k, self.t - 1)
 
 
-def sample_outcomes(circuit: CompiledCircuit, t: int, seed: int | None, count: int) -> tuple[int, ...]:
-    """Phase outcomes of ``count`` independent runs, run ``i`` drawing from
-    ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Every estimate in
-    the package is drawn here.  The seed is checked before anything is
-    simulated."""
+def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | None, count: int) -> tuple[int, ...]:
+    """Phase outcomes of ``count`` independent runs of phase estimation over
+    ``compile_forest_op(forest, x)``, run ``i`` drawing from
+    ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Before it compiles
+    it refuses, in order: ``count < 1``, what ``check_compilable`` or
+    ``check_width`` refuse, ``count > MAX_REPETITIONS`` and a negative seed."""
+    if count < 1:
+        raise ValueError("need at least one run")
+    check_width(check_compilable(forest, x), t)
     if count > MAX_REPETITIONS:
         raise ResourceLimitError(
             f"{count} runs requested; no failure bound needs more than {MAX_REPETITIONS}"
         )
     _check_seed(seed)
     seeds = np.random.SeedSequence(seed).spawn(count)
-    engine = PhaseEstimation(circuit, t)
+    engine = PhaseEstimation(compile_forest_op(forest, x), t)
     return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)
-
-
-def estimate_with_boosting(circuit: CompiledCircuit, config: QaeConfig) -> EstimationResult:
-    """Median of independent runs (sub-seeded from config.seed)."""
-    r = config.resolved_repetitions
-    outcomes = sample_outcomes(circuit, config.t, config.seed, r)
-    grid = {k: estimate_of(k, config.t) for k in set(outcomes)}  # runs that drew k share one float
-    raw = tuple(grid[k] for k in outcomes)
-    beta = sorted(raw)[r // 2]
-    return EstimationResult(
-        beta_estimate=beta,
-        r_estimate=None,
-        error_bound=error_bound(beta, config.t),
-        raw_estimates=raw,
-        repetitions=r,
-        t=config.t,
-        grover_calls=r * (config.t - 1),
-        u_invocations=r * (2 * config.t - 1),
-        height=circuit.height,
-    )
 
 
 def query_count(result: EstimationResult) -> int:
@@ -249,13 +242,21 @@ def query_count(result: EstimationResult) -> int:
 
 
 def run_forecast(forest: RandomForest, x: InputObject, config: QaeConfig) -> EstimationResult:
-    """Compile and estimate; fills the raw-scale forecast when target is 'r'.
-    The width is checked before anything is compiled."""
-    check_width(check_compilable(forest, x), config.t)
-    circuit = compile_forest_op(forest, x)
-    result = estimate_with_boosting(circuit, config)
-    if config.target == "r":
-        result = replace(
-            result, r_estimate=beta_to_R(result.beta_estimate, forest.y_min, forest.y_max)
-        )
-    return result
+    """Median of ``config``'s independent runs from ``sample_outcomes``;
+    fills the raw-scale forecast when target is 'r'."""
+    r, t = config.resolved_repetitions, config.t
+    outcomes = sample_outcomes(forest, x, t, config.seed, r)
+    grid = {k: estimate_of(k, t) for k in set(outcomes)}  # runs that drew k share one float
+    raw = tuple(grid[k] for k in outcomes)
+    beta = sorted(raw)[r // 2]
+    return EstimationResult(
+        beta_estimate=beta,
+        r_estimate=beta_to_R(beta, forest.y_min, forest.y_max) if config.target == "r" else None,
+        error_bound=error_bound(beta, t),
+        raw_estimates=raw,
+        repetitions=r,
+        t=t,
+        grover_calls=r * (t - 1),
+        u_invocations=r * (2 * t - 1),
+        height=forest.height,
+    )

@@ -28,21 +28,24 @@ def reference():
 
 @pytest.fixture
 def shared_engines(monkeypatch):
-    """For one test, memoize ``qae.PhaseEstimation`` by ``(id(circuit), t)``.
-    A statistical test that draws hundreds of seeded estimates from one
-    circuit then simulates its distribution once, while every draw still goes
-    through the real ``estimate_with_boosting`` and ``sample_outcomes``.  The
-    circuit is kept with its engine, so its id cannot be reused."""
+    """For one test, memoize ``qae.compile_forest_op`` by ``(id(forest), x)``
+    and ``qae.PhaseEstimation`` by ``(id(circuit), t)``.  A statistical test
+    that draws hundreds of seeded estimates for one forest and input then
+    compiles it and simulates its distribution once, while every draw still
+    goes through the real ``run_forecast`` and ``sample_outcomes`` and their
+    checks.  Each forest and circuit is kept with what was built from it, so
+    its id cannot be reused."""
     built = {}
 
-    def engine(circuit, t):
-        key = (id(circuit), t)
+    def memo(make, owner, arg):
+        key = (id(owner), arg)
         if key not in built:
-            built[key] = (circuit, real(circuit, t))
+            built[key] = (owner, make(owner, arg))
         return built[key][1]
 
-    real = qae.PhaseEstimation
-    monkeypatch.setattr(qae, "PhaseEstimation", engine)
+    compile_op, engine = qae.compile_forest_op, qae.PhaseEstimation
+    monkeypatch.setattr(qae, "compile_forest_op", lambda forest, x: memo(compile_op, forest, x))
+    monkeypatch.setattr(qae, "PhaseEstimation", lambda circuit, t: memo(engine, circuit, t))
     return built
 
 

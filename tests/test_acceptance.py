@@ -18,9 +18,9 @@ from qrforest.model import beta_classical, beta_to_R, forecast_classical
 from qrforest.qae import (
     QaeConfig,
     error_bound,
-    estimate_with_boosting,
     query_count,
     repetitions_for_delta,
+    run_forecast,
 )
 from qrforest.reference import reference_forest, reference_input
 from qrforest.statevector import StateVector
@@ -53,11 +53,10 @@ def test_criterion_1_exact_amplitude_oracle():
 def test_criterion_2_single_run_confidence_bound(shared_engines):
     """>= 76% of 500 seeded single runs land within the confidence radius."""
     forest, x = reference_forest(), reference_input()
-    circuit = compile_forest_op(forest, x)
     beta = beta_classical(forest, x)
     bound = 2 * math.pi * math.sqrt(beta * (1 - beta)) / 32 + math.pi**2 / 1024
     hits = sum(
-        abs(estimate_with_boosting(circuit, QaeConfig(t=32, seed=s)).beta_estimate - beta) <= bound
+        abs(run_forecast(forest, x, QaeConfig(t=32, seed=s)).beta_estimate - beta) <= bound
         for s in range(500)
     )
     rate = hits / 500
@@ -93,12 +92,11 @@ def test_criterion_4_median_boosting_failure_rate(shared_engines):
     ]
     rates = []
     for forest, x, t in instances:
-        circuit = compile_forest_op(forest, x)
         beta = beta_classical(forest, x)
         bound = error_bound(beta, t)
         fails = 0
         for s in range(300):
-            result = estimate_with_boosting(circuit, QaeConfig(t=t, repetitions=r, seed=s))
+            result = run_forecast(forest, x, QaeConfig(t=t, repetitions=r, seed=s))
             fails += abs(result.beta_estimate - beta) > bound
         rate = fails / 300
         rates.append(rate)
@@ -113,14 +111,13 @@ def test_criterion_5_raw_scale_reconstruction(shared_engines):
     """The raw-scale error is the normalized error times the label spread on
     every in-bound trial, and the median relative error stays <= 5%."""
     forest, x = reference_forest(), reference_input()
-    circuit = compile_forest_op(forest, x)
     beta = beta_classical(forest, x)
     r_cl = forecast_classical(forest, x)
     spread = forest.y_max - forest.y_min
     bound = error_bound(beta, 32)
     rel_errors, in_bound = [], 0
     for s in range(500):
-        est = estimate_with_boosting(circuit, QaeConfig(t=32, seed=s)).beta_estimate
+        est = run_forecast(forest, x, QaeConfig(t=32, seed=s)).beta_estimate
         r_est = beta_to_R(est, forest.y_min, forest.y_max)
         if abs(est - beta) <= bound:
             in_bound += 1
@@ -182,10 +179,9 @@ def test_criterion_6_simulator_correctness_suite():
 def test_criterion_7_query_scaling():
     """Query counts double with t (ratio in [1.8, 2.2]) and grow linearly in h."""
     forest, x = random_instance(2, 1, 300)
-    circuit = compile_forest_op(forest, x)
     counts = {}
     for t in (8, 16, 32, 64):
-        result = estimate_with_boosting(circuit, QaeConfig(t=t, repetitions=1, seed=0))
+        result = run_forecast(forest, x, QaeConfig(t=t, repetitions=1, seed=0))
         counts[t] = query_count(result)
     ratios = [counts[2 * t] / counts[t] for t in (8, 16, 32)]
     assert all(1.8 <= r <= 2.2 for r in ratios)
@@ -193,9 +189,7 @@ def test_criterion_7_query_scaling():
     by_height = {}
     for h in (1, 2, 3):
         forest, x = random_instance(2, h, 301)
-        result = estimate_with_boosting(
-            compile_forest_op(forest, x), QaeConfig(t=16, repetitions=1, seed=0)
-        )
+        result = run_forecast(forest, x, QaeConfig(t=16, repetitions=1, seed=0))
         by_height[h] = query_count(result)
     assert by_height[2] == 2 * by_height[1]
     assert by_height[3] == 3 * by_height[1]

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from qrforest import cli, qae
 from qrforest.cli import _emit, _read_text, main
-from qrforest.compiler import compile_forest_op
 from qrforest.config import MAX_FOREST_BYTES, MAX_FOREST_SLOTS, MAX_INPUT_BYTES, MAX_PAIRS_LINE
 from qrforest.exceptions import ForestFormatError, QrfError
 from qrforest.forest_io import load_forest, save_forest
 from qrforest.model import Attribute, RandomForest, beta_to_R
-from qrforest.qae import MAX_REPETITIONS, QaeConfig, estimate_with_boosting
+from qrforest.qae import MAX_REPETITIONS, QaeConfig, run_forecast
 from qrforest.reference import reference_forest, reference_input
 from conftest import forest_documents, two_leaf_forest
 
@@ -387,6 +386,10 @@ def _no_simulation(circuit, t):
     raise AssertionError("PhaseEstimation was built")
 
 
+def _no_compile(forest, x):
+    raise AssertionError("the forest was compiled")
+
+
 def test_forecast_refuses_a_negative_seed_before_simulating(tmp_path, monkeypatch, capsys):
     path = write_two_tree_forest(tmp_path)
     monkeypatch.setattr(qae, "PhaseEstimation", _no_simulation)
@@ -417,6 +420,14 @@ def test_forecast_repetitions_above_the_ceiling_exit_code(tmp_path, capsys):
                    "--reps", str(MAX_REPETITIONS + 2)) == 4
     assert "8935" in capsys.readouterr().err
     assert run_cli("reproduce", "--runs", str(MAX_REPETITIONS + 1)) == 4
+
+
+def test_forecast_repetition_cap_fires_before_compiling(tmp_path, monkeypatch, capsys):
+    path = write_two_tree_forest(tmp_path)
+    monkeypatch.setattr(qae, "compile_forest_op", _no_compile)
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--mode", "quantum",
+                   "--reps", str(MAX_REPETITIONS + 2)) == 4
+    assert f"{MAX_REPETITIONS + 2} runs requested" in capsys.readouterr().err
 
 
 def test_reproduce_report(tmp_path, capsys):
@@ -453,8 +464,7 @@ def test_reproduce_draws_the_boosting_stream(capsys, runs, seed):
     assert run_cli("reproduce", "--runs", str(runs), "--seed", str(seed),
                    "--format", "structured") == 0
     doc = json.loads(capsys.readouterr().out)
-    circuit = compile_forest_op(reference_forest(), reference_input())
-    result = estimate_with_boosting(circuit, QaeConfig(t=doc["t"], repetitions=runs, seed=seed))
+    result = run_forecast(reference_forest(), reference_input(), QaeConfig(t=doc["t"], repetitions=runs, seed=seed))
     assert tuple(row["beta_estimate"] for row in doc["results"]) == result.raw_estimates
 
 
@@ -506,6 +516,11 @@ def test_metrics_subset_and_bad_name(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["metrics"]) == {"MAE", "RMSE"}
     assert run_cli("metrics", "--pairs", str(pairs), "--metrics", "MAD") == 3
+
+
+def test_metrics_checks_names_before_reading(tmp_path, capsys):
+    assert run_cli("metrics", "--pairs", str(tmp_path / "missing.txt"), "--metrics", "MAD") == 3
+    assert "unknown metric 'MAD'" in capsys.readouterr().err
 
 
 def test_metrics_malformed_line(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import controlled, document_inputs, forest_documents, gate_matrix, random_instance
 from conftest import two_leaf_forest
+from qrforest import qae
 from qrforest.compiler import compile_forest_op
 from qrforest.exceptions import ResourceLimitError
 from qrforest.forest_io import load_forest
@@ -20,7 +21,6 @@ from qrforest.qae import (
     QaeConfig,
     error_bound,
     estimate_of,
-    estimate_with_boosting,
     query_count,
     repetitions_for_delta,
     run_forecast,
@@ -63,16 +63,20 @@ def _half_beta_instance():
     return forest, InputObject.of(0.2)
 
 
+def _no_work(*args):
+    raise AssertionError("built before the checks ran")
+
+
 def test_zero_amplitude_is_estimated_exactly():
-    circuit = compile_forest_op(*_zero_beta_instance())
+    instance = _zero_beta_instance()
     for seed in range(10):
-        assert estimate_with_boosting(circuit, QaeConfig(t=8, seed=seed)).beta_estimate == 0.0
+        assert run_forecast(*instance, QaeConfig(t=8, seed=seed)).beta_estimate == 0.0
 
 
 def test_full_amplitude_is_estimated_exactly():
-    circuit = compile_forest_op(*_one_beta_instance())
+    instance = _one_beta_instance()
     for seed in range(10):
-        assert estimate_with_boosting(circuit, QaeConfig(t=8, seed=seed)).beta_estimate == 1.0
+        assert run_forecast(*instance, QaeConfig(t=8, seed=seed)).beta_estimate == 1.0
 
 
 def test_grid_exact_amplitude_is_deterministic():
@@ -338,11 +342,10 @@ def test_boosted_success_rate_at_beta_point_three(shared_engines):
     forest = two_leaf_forest((0.1, 1.0), (0.5, 0.0))
     x = InputObject.of(0.2)
     assert beta_classical(forest, x) == pytest.approx(0.3)
-    circuit = compile_forest_op(forest, x)
     bound = error_bound(0.3, 64)
     hits = 0
     for s in range(500):
-        result = estimate_with_boosting(circuit, QaeConfig(t=64, repetitions=15, seed=s))
+        result = run_forecast(forest, x, QaeConfig(t=64, repetitions=15, seed=s))
         hits += abs(result.beta_estimate - 0.3) <= bound
     assert hits / 500 > 0.95
 
@@ -360,56 +363,69 @@ def test_empirical_frequencies_follow_distribution(reference):
 
 
 def test_estimates_live_on_the_grid(reference, shared_engines):
-    circuit = compile_forest_op(*reference)
     grid = _grid(32)
     for seed in range(200):
-        est = estimate_with_boosting(circuit, QaeConfig(t=32, seed=seed)).beta_estimate
+        est = run_forecast(*reference, QaeConfig(t=32, seed=seed)).beta_estimate
         assert any(abs(est - v) < 1e-12 for v in grid)
 
 
 def test_single_run_is_seed_deterministic(reference):
-    circuit = compile_forest_op(*reference)
-    a = estimate_with_boosting(circuit, QaeConfig(t=32, seed=7)).beta_estimate
-    b = estimate_with_boosting(circuit, QaeConfig(t=32, seed=7)).beta_estimate
+    a = run_forecast(*reference, QaeConfig(t=32, seed=7)).beta_estimate
+    b = run_forecast(*reference, QaeConfig(t=32, seed=7)).beta_estimate
     assert a == b
 
 
 def test_boosting_with_one_repetition_equals_single_run(reference):
-    circuit = compile_forest_op(*reference)
     config = QaeConfig(t=32, repetitions=1, seed=3)
-    result = estimate_with_boosting(circuit, config)
+    result = run_forecast(*reference, config)
     assert result.raw_estimates == (result.beta_estimate,)
 
 
-def test_sample_outcomes_are_the_boosted_runs(reference):
-    circuit = compile_forest_op(*reference)
-    outcomes = sample_outcomes(circuit, 32, 11, 5)
-    result = estimate_with_boosting(circuit, QaeConfig(t=32, repetitions=5, seed=11))
-    assert result.raw_estimates == tuple(estimate_of(k, 32) for k in outcomes)
-    assert sample_outcomes(circuit, 32, 11, 3) == outcomes[:3]
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from((2, 8, 32)), st.integers(0, 2**32), st.integers(1, 9))
+def test_sample_outcomes_are_the_boosted_runs(data, t, seed, r):
+    """``run_forecast``'s raw estimates are ``estimate_of`` over the
+    sampler's outcomes and its estimate is their median; a shorter run is a
+    prefix of a longer one."""
+    doc = data.draw(forest_documents())
+    forest = load_forest(json.dumps(doc))
+    assume(forest.y_max > forest.y_min)
+    x = data.draw(document_inputs(doc))
+    r |= 1
+    outcomes = sample_outcomes(forest, x, t, seed, r)
+    result = run_forecast(forest, x, QaeConfig(t=t, repetitions=r, seed=seed))
+    assert result.raw_estimates == tuple(estimate_of(k, t) for k in outcomes)
+    assert result.beta_estimate == sorted(result.raw_estimates)[r // 2]
+    shorter = data.draw(st.integers(1, r))
+    assert sample_outcomes(forest, x, t, seed, shorter) == outcomes[:shorter]
+
+
+def test_sample_outcomes_refuses_no_runs_before_compiling(reference, monkeypatch):
+    monkeypatch.setattr(qae, "compile_forest_op", _no_work)
+    monkeypatch.setattr(qae, "PhaseEstimation", _no_work)
+    for count in (0, -2):
+        with pytest.raises(ValueError, match="need at least one run"):
+            sample_outcomes(*reference, 32, 0, count)
 
 
 def test_boosting_constant_estimates_return_that_value():
-    circuit = compile_forest_op(*_zero_beta_instance())
-    result = estimate_with_boosting(circuit, QaeConfig(t=8, repetitions=5, seed=0))
+    result = run_forecast(*_zero_beta_instance(), QaeConfig(t=8, repetitions=5, seed=0))
     assert result.raw_estimates == (0.0,) * 5
     assert result.beta_estimate == 0.0
 
 
 def test_boosted_median_is_a_raw_estimate(reference):
-    circuit = compile_forest_op(*reference)
-    result = estimate_with_boosting(circuit, QaeConfig(t=32, repetitions=7, seed=5))
+    result = run_forecast(*reference, QaeConfig(t=32, repetitions=7, seed=5))
     assert result.beta_estimate in result.raw_estimates
     assert sorted(result.raw_estimates)[3] == result.beta_estimate
 
 
 def test_single_run_success_rate(reference, shared_engines):
     forest, x = reference
-    circuit = compile_forest_op(forest, x)
     beta = beta_classical(forest, x)
     bound = error_bound(beta, 32)
     hits = sum(
-        abs(estimate_with_boosting(circuit, QaeConfig(t=32, seed=s)).beta_estimate - beta) <= bound
+        abs(run_forecast(forest, x, QaeConfig(t=32, seed=s)).beta_estimate - beta) <= bound
         for s in range(300)
     )
     assert hits / 300 >= 0.76
@@ -417,14 +433,13 @@ def test_single_run_success_rate(reference, shared_engines):
 
 def test_boosting_does_not_hurt(reference, shared_engines):
     forest, x = reference
-    circuit = compile_forest_op(forest, x)
     beta = beta_classical(forest, x)
     bound = error_bound(beta, 32)
 
     def failure_rate(reps):
         fails = 0
         for s in range(200):
-            result = estimate_with_boosting(circuit, QaeConfig(t=32, repetitions=reps, seed=s))
+            result = run_forecast(forest, x, QaeConfig(t=32, repetitions=reps, seed=s))
             fails += abs(result.beta_estimate - beta) > bound
         return fails / 200
 
@@ -453,17 +468,16 @@ def test_query_count_minimal_instance():
     # r=1, t=2: one preparation plus one controlled Grover power that runs
     # the operator forward and inverse once each -> 3 applications, each
     # walking h=1 level -> 3 queries
-    circuit = compile_forest_op(*_zero_beta_instance())
-    result = estimate_with_boosting(circuit, QaeConfig(t=2, repetitions=1, seed=0))
+    result = run_forecast(*_zero_beta_instance(), QaeConfig(t=2, repetitions=1, seed=0))
     assert result.u_invocations == 3
     assert result.grover_calls == 1
     assert query_count(result) == 3
 
 
 def test_query_count_scales_linearly_in_t():
-    circuit = compile_forest_op(*_zero_beta_instance())
+    instance = _zero_beta_instance()
     counts = {
-        t: query_count(estimate_with_boosting(circuit, QaeConfig(t=t, repetitions=1, seed=0)))
+        t: query_count(run_forecast(*instance, QaeConfig(t=t, repetitions=1, seed=0)))
         for t in (8, 16, 32, 64)
     }
     for t in (8, 16, 32):
@@ -474,9 +488,8 @@ def test_query_count_scales_linearly_in_height():
     results = {}
     for h in (1, 2, 3):
         forest, x = random_instance(2, h, 90)
-        circuit = compile_forest_op(forest, x)
         results[h] = query_count(
-            estimate_with_boosting(circuit, QaeConfig(t=8, repetitions=1, seed=0))
+            run_forecast(forest, x, QaeConfig(t=8, repetitions=1, seed=0))
         )
     assert results[2] == 2 * results[1]
     assert results[3] == 3 * results[1]
@@ -499,6 +512,19 @@ def test_config_validation():
     assert QaeConfig(t=8, repetitions=7).resolved_repetitions == 7
 
 
+@pytest.mark.parametrize("name,value", [("t", 8.0), ("repetitions", 3.0), ("repetitions", True), ("seed", 1.5)],
+                         ids=["t-float", "repetitions-float", "repetitions-bool", "seed-float"])
+def test_config_refuses_a_non_integer(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        QaeConfig(**{"t": 8, name: value})
+
+
+def test_config_stores_numpy_integers_as_ints(reference):
+    config = QaeConfig(t=np.int64(32), repetitions=np.int32(3), seed=np.uint8(5))
+    assert [type(v) for v in (config.t, config.repetitions, config.seed)] == [int, int, int]
+    assert run_forecast(*reference, config) == run_forecast(*reference, QaeConfig(t=32, repetitions=3, seed=5))
+
+
 def test_repetitions_for_delta():
     assert repetitions_for_delta(0.1) == 29
     for delta in (0.4, 0.25, 0.1, 0.01):
@@ -509,9 +535,8 @@ def test_repetitions_for_delta():
 
 
 def test_phase_register_width_is_capped(reference):
-    circuit = compile_forest_op(*reference)
     with pytest.raises(ResourceLimitError):
-        estimate_with_boosting(circuit, QaeConfig(t=2**18, seed=0))
+        run_forecast(*reference, QaeConfig(t=2**18, seed=0))
 
 
 def test_phase_register_width_is_checked_before_allocation(reference):
