@@ -161,7 +161,7 @@ def cmd_forecast(args) -> int:
     if args.mode in ("quantum", "both"):
         config = QaeConfig(
             t=args.t,
-            repetitions=None if args.delta is not None else args.reps,
+            repetitions=args.reps,
             delta=args.delta,
             target="r",
             seed=args.seed,
@@ -349,8 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("classical", "quantum", "both"), default="both")
     p.add_argument("--target", choices=("beta", "r"), default="r")
     p.add_argument("--t", type=int, default=REFERENCE_T, help="phase grid size (power of two)")
-    p.add_argument("--reps", type=int, default=1, help="odd repetition count for the median")
-    p.add_argument("--delta", type=float, default=None, help="derive repetitions from a failure bound")
+    p.add_argument("--reps", type=int, default=None, help="odd repetition count for the median (default 1)")
+    p.add_argument(
+        "--delta", type=float, default=None, help="derive repetitions from a failure bound (not with --reps)"
+    )
     p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_forecast)

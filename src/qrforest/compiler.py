@@ -183,7 +183,5 @@ def dump_circuit(circuit: CompiledCircuit) -> str:
             line = f"ucr selects={sel} target=q{gate.target} angles=" + ",".join(
                 repr(a) for a in gate.params[0].tolist()
             )
-        if gate.controls:
-            line += " ctrl " + " ".join(f"q{q}={v}" for q, v in gate.controls)
         lines.append(line)
     return "\n".join(lines) + "\n"

@@ -2,10 +2,10 @@
 
 Kinds: ``h``, ``x``, ``swap``, ``ucg`` (uniformly controlled gate: one 2x2
 block per select-register value) and ``ucr`` (uniformly controlled Ry: one
-angle per value).  A one-qubit unitary is a ``ucg`` with no selects, and an
-Ry a ``ucr`` with no selects.  Every gate may additionally carry plain
-controls as ``(qubit, required_value)`` pairs; a CNOT is an ``x`` with one
-1-valued control.  ``Gate`` refuses a kind outside ``KINDS`` when built.
+angle per value).  A one-qubit unitary is a ``ucg`` with no selects, an Ry
+a ``ucr`` with no selects, and a CNOT the one-select ``ucg`` with blocks
+``[I, X]``.  No gate carries a plain control qubit, as the compiler emits
+none.  ``Gate`` refuses a kind outside ``KINDS`` when built.
 
 Conventions, fixed package-wide:
   * qubit 0 is the most significant bit of a basis index;
@@ -45,31 +45,30 @@ class Gate:
 
     ``params`` is ``(blocks,)`` for a ucg, the read-only ``(2^s, 2, 2)``
     array, and ``(angles,)`` for a ucr, the read-only ``(2^s,)`` array;
-    ``==`` compares kind, qubits, controls and parameters by value.  Gates
-    are not hashable.
+    ``==`` compares kind, qubits and parameters by value.  Gates are not
+    hashable.
     """
 
     kind: str
     qubits: tuple[int, ...]
     params: tuple = ()
-    controls: tuple[tuple[int, int], ...] = ()
+    # Not a field, and always empty: it answers perfbench's oracle, which
+    # reads ``gate.controls`` on every gate.
+    controls = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        used = list(self.qubits) + [q for q, _ in self.controls]
-        if len(set(used)) != len(used):
+        if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"gate references a qubit twice: {self}")
-        if any(q < 0 for q in used):
+        if any(q < 0 for q in self.qubits):
             raise ValueError("qubit indices must be non-negative")
-        if any(v not in (0, 1) for _, v in self.controls):
-            raise ValueError("control values must be 0 or 1")
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
             return NotImplemented
         return (
-            (self.kind, self.qubits, self.controls) == (other.kind, other.qubits, other.controls)
+            (self.kind, self.qubits) == (other.kind, other.qubits)
             and len(self.params) == len(other.params)
             and all(np.array_equal(a, b) for a, b in zip(self.params, other.params))
         )
@@ -96,7 +95,7 @@ def one_qubit(q: int, matrix) -> Gate:
 
 
 def cnot(control_qubit: int, target_qubit: int) -> Gate:
-    return Gate("x", (target_qubit,), controls=((control_qubit, 1),))
+    return ucg((control_qubit,), target_qubit, [_ID, _X])
 
 
 def swap(a: int, b: int) -> Gate:

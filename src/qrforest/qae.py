@@ -78,6 +78,13 @@ def _check_t(t: int) -> None:
         raise ValueError("t must be a power of two >= 2")
 
 
+def _as_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a value without ``__index__`` is refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _check_seed(seed: int | None) -> None:
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -105,9 +112,7 @@ class QaeConfig:
         for name in ("t", "repetitions", "seed"):
             value = getattr(self, name)
             if name == "t" or value is not None:
-                if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, operator.index(value))  # as an int; the class is frozen
+                object.__setattr__(self, name, _as_int(name, value))  # the class is frozen
         _check_t(self.t)
         _check_seed(self.seed)
         if self.repetitions is not None and self.delta is not None:
@@ -220,8 +225,11 @@ def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | No
     """Phase outcomes of ``count`` independent runs of phase estimation over
     ``compile_forest_op(forest, x)``, run ``i`` drawing from
     ``default_rng(SeedSequence(seed).spawn(count)[i])``.  Before it compiles
-    it refuses, in order: ``count < 1``, what ``check_compilable`` or
+    it refuses, in order: a ``count``, ``t`` or ``seed`` that is a bool or
+    not an integer, ``count < 1``, what ``check_compilable`` or
     ``check_width`` refuse, ``count > MAX_REPETITIONS`` and a negative seed."""
+    count, t = _as_int("count", count), _as_int("t", t)
+    seed = None if seed is None else _as_int("seed", seed)
     if count < 1:
         raise ValueError("need at least one run")
     check_width(check_compilable(forest, x), t)

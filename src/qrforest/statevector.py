@@ -4,17 +4,16 @@ A ``StateVector`` holds 2^N complex128 amplitudes; qubit 0 is the most
 significant bit of the basis index (so |q0 q1 ... q_{N-1}> reads left to
 right as a binary number).  Gates run in place through one view kernel:
 the amplitudes are reshaped to a ``(2,) * N`` array, basic indexing fixes
-the control axes and two values of the gate's own axes, and a 2x2 block
-combines the two resulting views (after Häner and Steiger, arXiv:1704.01127).
-``bind`` does that setup once per gate and ``run`` only the arithmetic, so a
-gate list applied many times is bound once.  ``bind`` reads each block's four
+two values of the gate's target axis, and a 2x2 block combines the two
+resulting views (after Häner and Steiger, arXiv:1704.01127).  ``bind`` does
+that setup once per gate and ``run`` only the arithmetic, so a gate list
+applied many times is bound once.  ``bind`` reads each block's four
 entries from the gate's own parameters: a ucg's blocks, the constant H or X
 block, and for a ucr the real ``cos`` and ``sin`` of its half-angles.  Every
-bound step is of that one kind: a controlled swap is the X block over the
-views where its two qubits differ, and an uncontrolled swap is no step at
-all, only a relabel of which buffer axis holds each of its qubits.  A bound
-list therefore leaves the buffer in the axis order ``bind`` returns with it;
-``apply`` copies the axes back into qubit order once, after the list.
+bound step is of that one kind.  A swap is no step at all, only a relabel
+of which buffer axis holds each of its qubits, so a bound list leaves the
+buffer in the axis order ``bind`` returns with it; ``apply`` copies the
+axes back into qubit order once, after the list.
 ``invert`` turns bound steps into those of the inverse gate list without
 binding again: the same views in reverse order, each block
 conjugate-transposed (for real entries, only a new order of the same
@@ -32,7 +31,7 @@ from . import gates as g
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
 
-_BLOCK = {"h": g._H, "x": g._X, "swap": g._X}  # a swap exchanges where its qubits differ
+_BLOCK = {"h": g._H, "x": g._X}
 
 
 class StateVector:
@@ -63,49 +62,39 @@ class StateVector:
         """Check only that each gate's qubits lie on this state (``Gate``
         checked its kind when it was built), then fix per gate two views of
         this state's buffer (the amplitudes as a ``(2,) * n`` array with the
-        control axes fixed, and the target axis at 0 and at 1, or a controlled
-        swap's two axes at (1, 0) and (0, 1)) and the four entries of its 2x2
-        blocks, read from the gate's parameters and broadcast over them: views
-        of a ucg's blocks, of the H or X block (a swap's is X), and for a ucr
-        the real float64 ``(c, -s, s, c)`` with ``c, s = cos, sin`` of its
-        half-angles, each placed in buffer order once, C-contiguous and
-        read-only.  Every step is of this one kind.  An uncontrolled swap emits
-        no step: it exchanges which buffer axes its two qubits hold, and later
-        gates index the axes their qubits hold then.  Returns the steps, which
-        expect the buffer in qubit order, and ``axis``: ``axis[q]`` is the
-        buffer axis that holds qubit ``q`` after they run."""
+        target axis at 0 and at 1) and the four entries of its 2x2 blocks,
+        read from the gate's parameters and broadcast over them: views of a
+        ucg's blocks, of the H or X block, and for a ucr the real float64
+        ``(c, -s, s, c)`` with ``c, s = cos, sin`` of its half-angles, each
+        placed in buffer order once, C-contiguous and read-only.  Every step
+        is of this one kind.  A swap emits no step: it exchanges which buffer
+        axes its two qubits hold, and later gates index the axes their qubits
+        hold then.  Returns the steps, which expect the buffer in qubit
+        order, and ``axis``: ``axis[q]`` is the buffer axis that holds qubit
+        ``q`` after they run."""
         n = self.num_qubits
         psi = self._amp.reshape((2,) * n)
         axis = list(range(n))  # axis[q]: the buffer axis that holds qubit q
         steps = []
         for gate in gates:
-            for q in list(gate.qubits) + [q for q, _ in gate.controls]:
+            for q in gate.qubits:
                 if q >= n:
                     raise ValueError(f"gate touches qubit {q} but state has {n}")
-            if gate.kind == "swap" and not gate.controls:
+            if gate.kind == "swap":
                 qa, qb = gate.qubits
                 axis[qa], axis[qb] = axis[qb], axis[qa]
                 continue
+            selects, target = [axis[q] for q in gate.selects], axis[gate.target]
             at: list = [slice(None)] * n
-            for q, v in gate.controls:
-                at[axis[q]] = v
-            # The trailing Ellipsis keeps a fully fixed index a 0-d view, not a scalar.
-            if gate.kind == "swap":
-                qa, qb = axis[gate.qubits[0]], axis[gate.qubits[1]]
-                at[qa], at[qb] = 1, 0
-                a = psi[(*at, ...)]
-                at[qa], at[qb] = 0, 1
-                selects = []
-            else:
-                selects, target = [axis[q] for q in gate.selects], axis[gate.target]
-                at[target] = 0
-                a = psi[(*at, ...)]
-                at[target] = 1
+            # The trailing Ellipsis keeps a one-qubit state's view 0-d, not a scalar.
+            at[target] = 0
+            a = psi[(*at, ...)]
+            at[target] = 1
             b = psi[(*at, ...)]
             # Entry k is indexed by the selects in list order; the views hold
             # them in buffer-axis order, with a length-1 axis for every other free axis.
             order = sorted(range(len(selects)), key=selects.__getitem__)
-            shape = [2 if ax in selects else 1 for ax in range(n) if type(at[ax]) is slice]
+            shape = [2 if ax in selects else 1 for ax in range(n) if ax != target]
 
             def place(e: np.ndarray) -> np.ndarray:
                 return e.reshape((2,) * len(selects)).transpose(order).reshape(shape)

@@ -117,7 +117,8 @@ def random_unitary_2x2(rng):
 
 def gate_menu(num_qubits, rng):
     """One randomly parameterized gate of every kind, on random qubits, plus
-    controlled and select-order variants (needs ``num_qubits >= 3``)."""
+    controlled variants in their ucg/ucr form and select-order variants
+    (needs ``num_qubits >= 3``)."""
 
     def pick(k):
         return tuple(int(q) for q in rng.choice(num_qubits, size=k, replace=False))
@@ -141,20 +142,21 @@ def gate_menu(num_qubits, rng):
         ("ry", ry(q1, float(rng.uniform(-2 * np.pi, 2 * np.pi)))),
         ("u", g.one_qubit(q1, random_unitary_2x2(rng))),
         ("cnot", g.cnot(c1, t1)),
-        ("anti-controlled-x", g.Gate("x", (t1,), controls=((c1, 0),))),
+        ("anti-controlled-x", g.ucg((c1,), t1, [_X, _ID])),
         ("swap", g.swap(a2, b2)),
-        ("controlled-swap", g.Gate("swap", (csa, csb), controls=((cs, 1),))),
+        ("toffoli", g.ucg((cs, csa), csb, [_ID, _ID, _ID, _X])),
         ("ucg", g.ucg(sel[:-1], sel[-1], [random_unitary_2x2(rng) for _ in range(4)])),
         ("ucr", g.ucr(sel[:-1], sel[-1], rng.uniform(-np.pi, np.pi, size=4))),
         ("reflection", reflection_about_zero(tuple(range(num_qubits)))),
         ("z", pauli_z(q1)),
-        ("controlled-ucg", replace(g.ucg(tuple(csel), ct, blocks(csel)), controls=((cc0, 0), (cc1, 1)))),
-        ("controlled-ucr", replace(
-            g.ucr(tuple(csel), ct, rng.uniform(-np.pi, np.pi, size=2 ** len(csel))),
-            controls=((cc0, 1), (cc1, 0)),
+        ("controlled-ucg", controlled(controlled(g.ucg(tuple(csel), ct, blocks(csel)), cc1, 1), cc0, 0)),
+        ("controlled-ucr", controlled(
+            controlled(g.ucr(tuple(csel), ct, rng.uniform(-np.pi, np.pi, size=2 ** len(csel))), cc1, 0),
+            cc0,
+            1,
         )),
         ("ucg-descending-selects", g.ucg(dsel, dt, blocks(dsel))),
-        ("mixed-controlled-x", g.Gate("x", (xt,), controls=((x0, 0), (x1, 1)))),
+        ("mixed-controlled-x", g.ucg((x0, x1), xt, [_ID, _X, _ID, _ID])),
     ]
     return menu
 
@@ -220,10 +222,10 @@ def gate_matrix(gate, num_qubits=None):
     simulator's view kernel is tested against: built column by column from
     the gate's definition using only index arithmetic."""
     if num_qubits is None:
-        num_qubits = max(list(gate.qubits) + [q for q, _ in gate.controls]) + 1
+        num_qubits = max(gate.qubits) + 1
     if num_qubits > MAX_DENSE_QUBITS:
         raise ResourceLimitError(f"dense matrix capped at {MAX_DENSE_QUBITS} qubits")
-    if any(q >= num_qubits for q in gate.qubits) or any(q >= num_qubits for q, _ in gate.controls):
+    if any(q >= num_qubits for q in gate.qubits):
         raise ValueError("gate references a qubit outside the register")
 
     def bit(i, q):
@@ -232,9 +234,6 @@ def gate_matrix(gate, num_qubits=None):
     dim = 1 << num_qubits
     m = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
-        if any(bit(i, q) != v for q, v in gate.controls):
-            m[i, i] = 1.0
-            continue
         if gate.kind == "swap":
             a, b = gate.qubits
             if bit(i, a) == bit(i, b):
@@ -262,24 +261,25 @@ def swap_as_cnots(a, b):
 
 
 def controlled(gate, qubit, value=1):
-    """Same gate, applied only when ``qubit`` has the given value; the dense
-    textbook phase-estimation oracle builds its controlled Grover powers
-    from it, so it lives here, apart from the engine.
+    """Same gate, applied only when ``qubit`` has the given value, as a
+    ucg or ucr: gates carry no plain controls.
 
-    For ucg/ucr the control folds into the select register (new most
-    significant select), padding the inactive half with identity blocks.
+    The control folds into the select register (new most significant
+    select), padding the inactive half with identity blocks (zero angles);
+    an h or x folds in its one-select ucg form.  A swap is refused: the
+    kernel only relabels swaps, so a controlled one has no form.
     """
-    if gate.kind == "ucg":
-        (blocks,) = gate.params
-        pad = np.broadcast_to(_ID, blocks.shape)
-        new = np.concatenate((blocks, pad) if value == 0 else (pad, blocks))
-        return g.ucg((qubit, *gate.selects), gate.target, new)
+    if gate.kind == "swap":
+        raise ValueError("a swap has no controlled form")
     if gate.kind == "ucr":
         (angles,) = gate.params
         pad = np.zeros_like(angles)
         new = np.concatenate((angles, pad) if value == 0 else (pad, angles))
         return g.ucr((qubit, *gate.selects), gate.target, new)
-    return g.Gate(gate.kind, gate.qubits, gate.params, gate.controls + ((qubit, value),))
+    blocks = gate.params[0] if gate.kind == "ucg" else _block_for(gate, 0)[None]
+    pad = np.broadcast_to(_ID, blocks.shape)
+    new = np.concatenate((blocks, pad) if value == 0 else (pad, blocks))
+    return g.ucg((qubit, *gate.selects), gate.target, new)
 
 
 def inverse(gate):
@@ -291,11 +291,11 @@ def inverse(gate):
         dagger = np.conjugate(blocks.swapaxes(1, 2))
         if np.array_equal(dagger, blocks):
             return gate
-        return replace(g.ucg(gate.selects, gate.target, dagger), controls=gate.controls)
+        return g.ucg(gate.selects, gate.target, dagger)
     if gate.kind == "ucr":
         (angles,) = gate.params
-        return replace(g.ucr(gate.selects, gate.target, -angles), controls=gate.controls)
-    return gate  # h, x, swap (and cnot as controlled x) are involutions
+        return g.ucr(gate.selects, gate.target, -angles)
+    return gate  # h, x and swap are involutions
 
 
 def compile_inverse(circuit):

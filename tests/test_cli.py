@@ -413,6 +413,16 @@ def test_forecast_subnormal_delta(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["quantum"]["repetitions"] == 8843
 
 
+def test_forecast_takes_reps_or_delta_not_both(tmp_path, capsys):
+    path = write_two_tree_forest(tmp_path)
+    base = ("forecast", "--forest", str(path), "--input", "0.2", "--t", "8", "--format", "structured")
+    assert run_cli(*base, "--reps", "3", "--delta", "0.1") == 3
+    assert "give repetitions or delta, not both" in capsys.readouterr().err
+    for flags, repetitions in (((), 1), (("--reps", "3"), 3), (("--delta", "0.1"), 29)):
+        assert run_cli(*base, *flags) == 0
+        assert json.loads(capsys.readouterr().out)["quantum"]["repetitions"] == repetitions
+
+
 def test_forecast_repetitions_above_the_ceiling_exit_code(tmp_path, capsys):
     assert MAX_REPETITIONS == 8935
     path = write_two_tree_forest(tmp_path)

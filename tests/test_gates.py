@@ -119,10 +119,7 @@ def test_block_array_is_lowered_once_and_read_only(kind):
     for k in range(blocks):
         block = np.array([[flat[0][k], flat[1][k]], [flat[2][k], flat[3][k]]])
         np.testing.assert_allclose(block, m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], atol=1e-15)
-    # A swap has no parameters: a controlled one binds the X block, an
-    # uncontrolled one no step at all.
-    (cswap,), _ = StateVector(3).bind([controlled(g.swap(0, 1), 2)])
-    assert all(np.shares_memory(e, g._X) for e in cswap[2])
+    # A swap has no parameters and binds no step at all.
     assert StateVector(2).bind([g.swap(0, 1)]) == ([], (1, 0))
 
 
@@ -235,6 +232,13 @@ def test_controlled_folds_ucg_and_ucr():
         [[np.eye(4), np.zeros((4, 4))], [np.zeros((4, 4)), _dense_on_low_qubits(base_r)]]
     )
     np.testing.assert_allclose(m, expected, atol=1e-15)
+
+    # h and x fold in their one-select ucg form; a swap has no controlled form.
+    assert controlled(g.x(1), 0) == g.cnot(0, 1)
+    h_on_0 = np.kron(np.diag([1.0, 0.0]), g._H) + np.diag([0, 0, 1.0, 1.0])
+    np.testing.assert_allclose(gate_matrix(controlled(g.h(1), 0, value=0), 2), h_on_0)
+    with pytest.raises(ValueError, match="swap"):
+        controlled(g.swap(1, 2), 0)
 
 
 def _dense_on_low_qubits(gate):

@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import controlled, document_inputs, forest_documents, gate_matrix, random_instance
+from conftest import document_inputs, forest_documents, gate_matrix, random_instance
 from conftest import two_leaf_forest
 from qrforest import qae
 from qrforest.compiler import compile_forest_op
@@ -117,12 +117,7 @@ def test_phi_is_found_through_its_register():
         circuit,
         registers=tuple(dataclasses.replace(r, start=relabel(r.start)) for r in circuit.registers),
         gates=tuple(
-            dataclasses.replace(
-                gate,
-                qubits=tuple(map(relabel, gate.qubits)),
-                controls=tuple((relabel(q), v) for q, v in gate.controls),
-            )
-            for gate in circuit.gates
+            dataclasses.replace(gate, qubits=tuple(map(relabel, gate.qubits))) for gate in circuit.gates
         ),
     )
     assert moved.register("phi").qubits == (0,)
@@ -164,10 +159,12 @@ def test_engine_matches_dense_matrix_phase_estimation(n, h, seed, t):
 
     full = dense(circuit.gates)
     full = dense([g.h(q) for q in range(circuit.num_qubits, width)]) @ full
-    iterate = grover_iterate(circuit)
+    iterate = dense(grover_iterate(circuit))
     for pos, q in enumerate(range(circuit.num_qubits, width)):
         power = 1 << (p - 1 - pos)
-        ctrl = dense([controlled(gate, q) for gate in iterate])
+        # Controlled Q = (I - P1) + P1 Q, with P1 projecting onto q reading 1.
+        p1 = np.diag((np.arange(dim) >> (width - 1 - q)) & 1).astype(complex)
+        ctrl = np.eye(dim) - p1 + p1 @ iterate
         full = np.linalg.matrix_power(ctrl, power) @ full
     grid = np.arange(t)
     f_inv = np.exp(-2j * np.pi * np.outer(grid, grid) / t) / np.sqrt(t)
@@ -188,6 +185,12 @@ def test_engine_matches_dense_matrix_phase_estimation(n, h, seed, t):
     t=st.sampled_from(tuple(2**k for k in range(1, 7))),
     seed=st.integers(0, 2**20),
 )
+# Wide shapes, 12-17 work qubits, past what the strategies draw.
+@example(n=64, h=8, t=4, seed=1072)
+@example(n=16, h=6, t=16, seed=1022)
+@example(n=1, h=12, t=8, seed=1013)
+@example(n=64, h=4, t=64, seed=1068)
+@example(n=2, h=14, t=4, seed=1016)
 def test_engine_matches_closed_form_on_random_forests(n, h, t, seed):
     forest, x = random_instance(n, h, seed)
     dist = PhaseEstimation(compile_forest_op(forest, x), t).distribution()
@@ -406,6 +409,23 @@ def test_sample_outcomes_refuses_no_runs_before_compiling(reference, monkeypatch
     for count in (0, -2):
         with pytest.raises(ValueError, match="need at least one run"):
             sample_outcomes(*reference, 32, 0, count)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("count", (8, 0, 3.0)),
+        ("count", (8, 0, True)),
+        ("t", (8.0, 0, 3)),
+        ("seed", (8, 1.5, 3)),
+        ("seed", (8, True, 3)),
+    ],
+    ids=["count-float", "count-bool", "t-float", "seed-float", "seed-bool"],
+)
+def test_sample_outcomes_refuses_a_non_integer_before_compiling(reference, monkeypatch, name, args):
+    monkeypatch.setattr(qae, "compile_forest_op", _no_work)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        sample_outcomes(*reference, *args)
 
 
 def test_boosting_constant_estimates_return_that_value():

@@ -94,8 +94,9 @@ def test_bound_steps_run_the_gate_list(n, seed, picks):
 )
 def test_inverted_steps_undo_the_bound_steps(n, seed, picks):
     """``run(invert(steps))`` undoes ``run(steps)`` to 1e-12, on gate lists
-    with complex blocks, controls and relabelling swaps, and from any state
-    equals the oracle's gate-level inverse list applied one gate at a time."""
+    with complex blocks, controls folded into ucgs and relabelling swaps, and
+    from any state equals the oracle's gate-level inverse list applied one
+    gate at a time."""
     rng = np.random.default_rng(seed)
     # A fresh menu per pick puts swaps on different pairs, so the axis
     # order the steps end in can be a cycle, which is not its own inverse.
@@ -253,15 +254,21 @@ def test_apply_all_checks_every_gate_before_applying_any():
     np.testing.assert_array_equal(sv.amplitudes, [1, 0, 0, 0])
 
 
-def test_controlled_swap_binds_to_one_x_block_step():
-    """A controlled swap is one block step, X over the views where its two
-    qubits differ, and leaves the axes where they were."""
+def test_cnot_is_a_one_select_ucg():
+    """A CNOT is the ucg with one select and blocks [I, X]; it binds to one
+    step whose entries view those blocks."""
+    gate = g.cnot(0, 2)
+    assert gate.kind == "ucg" and gate.selects == (0,) and gate.target == 2
+    (blocks,) = gate.params
+    assert not blocks.flags.writeable
+    np.testing.assert_array_equal(blocks, [np.eye(2), [[0, 1], [1, 0]]])
+    perm = np.eye(8)[[0, 1, 2, 3, 5, 4, 7, 6]]  # flip q2 wherever q0 reads 1
+    np.testing.assert_array_equal(gate_matrix(gate, 3), perm)
     rng = np.random.default_rng(18)
     state = random_statevector(3, rng)
-    gate = g.Gate("swap", (0, 2), controls=((1, 1),))
     sv = StateVector(3, state)
     steps, axis = sv.bind([gate])
     assert len(steps) == 1 and axis == (0, 1, 2)
-    assert [e.item() for e in steps[0][2]] == [0, 1, 1, 0]
+    assert all(np.shares_memory(e, blocks) for e in steps[0][2])
     sv.run(steps)
-    np.testing.assert_array_equal(sv.amplitudes, gate_matrix(gate, 3) @ state)
+    np.testing.assert_array_equal(sv.amplitudes, perm @ state)
