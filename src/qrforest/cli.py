@@ -129,6 +129,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    config = None
+    if args.mode != "classical":  # the quantum flags are refused before any file is read
+        config = QaeConfig(t=args.t, repetitions=args.reps, delta=args.delta, target="r", seed=args.seed)
     forest = load_forest(_read_text(args.forest, MAX_FOREST_BYTES))
     x = _parse_input(args.input)
     started = time.perf_counter()
@@ -158,22 +161,12 @@ def cmd_forecast(args) -> int:
         doc["classical"] = {"r": classical_r, "beta": classical_beta}
         lines.append(f"classical: R={classical_r!r} beta={classical_beta!r}")
 
-    if args.mode in ("quantum", "both"):
-        config = QaeConfig(
-            t=args.t,
-            repetitions=args.reps,
-            delta=args.delta,
-            target="r",
-            seed=args.seed,
-        )
+    if config is not None:
         try:
             result = run_forecast(forest, x, config)
-        except DegenerateRangeError:
+        except DegenerateRangeError as e:
             constant = forecast_classical(forest, x)
-            print(
-                "warning: all leaf labels equal; returning the constant forecast",
-                file=sys.stderr,
-            )
+            print(f"warning: {e}; returning the constant forecast", file=sys.stderr)
             doc["quantum"] = {"degenerate_range": True, "r_estimate": constant}
             lines.append(f"quantum: degenerate range, constant forecast R={constant!r}")
         else:

@@ -29,21 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates as g
-from .exceptions import DegenerateRangeError, UnsupportedForestError
-from .model import InputObject, RandomForest, branch_outcomes
-
-
-def _label_range(forest: RandomForest) -> tuple[float, float]:
-    lo, hi = forest.y_min, forest.y_max
-    if hi <= lo:
-        raise DegenerateRangeError("all leaf labels equal; rotation angles undefined")
-    return lo, hi
+from .exceptions import UnsupportedForestError
+from .model import InputObject, RandomForest, branch_outcomes, label_range
 
 
 def leaf_angles(forest: RandomForest) -> np.ndarray:
     """``(n, 2^h)`` phi rotation half-angles, slot ``j`` for leaf ``2^h + j``;
     all in [0, pi/2]."""
-    lo, hi = _label_range(forest)
+    lo, hi = label_range(forest)
     roots = np.sqrt(np.clip((forest.leaf - lo) / (hi - lo), 0.0, 1.0))
     # math.asin per leaf: np.arcsin can differ by 1 ulp, which would change
     # the ucr angles and dump_circuit.  np.sqrt is correctly rounded, as
@@ -75,7 +68,6 @@ class CompiledCircuit:
     registers: tuple[Register, ...]
     gates: tuple[g.Gate, ...]
     num_qubits: int
-    height: int
 
     def register(self, name: str) -> Register:
         for r in self.registers:
@@ -122,7 +114,7 @@ def check_compilable(forest: RandomForest, x: InputObject) -> int:
     n = forest.n
     if n & (n - 1):
         raise UnsupportedForestError(f"tree count must be a power of two, got {n}")
-    _label_range(forest)
+    label_range(forest)
     return (n - 1).bit_length() + forest.height + 2
 
 
@@ -145,7 +137,6 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
         registers=(lam, psi, phi),
         gates=tuple(seq),
         num_qubits=num_qubits,
-        height=h,
     )
 
 

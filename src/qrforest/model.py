@@ -31,6 +31,18 @@ EQUALS = PREDICATE_KINDS.index("equals")
 METRIC_NAMES = ("MAE", "MSE", "RMSE", "MAPE", "wMAPE", "sMAPE")
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a value without ``__index__`` is refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class Attribute:
     """Schema entry: a real-valued attribute, or a discrete one with
@@ -43,10 +55,7 @@ class Attribute:
         if self.kind not in ("real", "discrete"):
             raise ValueError(f"unknown attribute kind {self.kind!r}")
         if self.kind == "discrete":
-            try:
-                categories = operator.index(self.categories)
-            except TypeError:
-                raise ValueError("discrete attribute needs an integer count of categories") from None
+            categories = as_integer("categories", self.categories)
             if not 1 <= categories <= MAX_CATEGORIES:
                 raise ValueError("discrete attribute needs 1 <= categories <= 2^53 (inputs are float64)")
             # kept as a Python int: generate_random_forest multiplies it by 64-bit words
@@ -175,12 +184,19 @@ def forecast_classical(forest: RandomForest, x: InputObject) -> float:
     return sum(_walked_labels(forest, x)) / forest.n
 
 
+def label_range(forest: RandomForest) -> tuple[float, float]:
+    """``(y_min, y_max)``; refuses a forest whose leaf labels are all equal,
+    on which the normalized forecast is undefined."""
+    lo, hi = forest.y_min, forest.y_max
+    if hi <= lo:
+        raise DegenerateRangeError("all leaf labels equal")
+    return lo, hi
+
+
 def beta_classical(forest: RandomForest, x: InputObject) -> float:
     """Exact normalized forecast ``mean((y_i - y_min) / (y_max - y_min))``."""
     x.validate_against(forest.schema)
-    lo, hi = forest.y_min, forest.y_max
-    if hi <= lo:
-        raise DegenerateRangeError("all leaf labels equal; normalized target undefined")
+    lo, hi = label_range(forest)
     return sum(y - lo for y in _walked_labels(forest, x)) / (forest.n * (hi - lo))
 
 
@@ -261,7 +277,11 @@ def generate_random_forest(
     scan is serial because the attribute drawn decides the next draw.  A
     change to numpy's stream would show in the ``generate`` golden tests and
     in the test that compares this with the per-call loop.
+    ``n``, ``h`` and ``seed`` must be integers (not bools); ``seed`` must be
+    non-negative.
     """
+    n, h, seed = as_integer("n", n), as_integer("h", h), as_integer("seed", seed)
+    check_seed(seed)
     if n < 1 or h < 1:
         raise ValueError("need n >= 1 and h >= 1")
     if n > MAX_FOREST_SLOTS >> h:

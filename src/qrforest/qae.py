@@ -43,7 +43,6 @@ walks ``height`` levels, i.e. does ``height`` classical input queries.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,7 @@ import numpy as np
 from .compiler import CompiledCircuit, check_compilable, compile_forest_op
 from .config import MAX_SIM_QUBITS
 from .exceptions import ResourceLimitError
-from .model import InputObject, RandomForest, beta_to_R
+from .model import InputObject, RandomForest, as_integer, beta_to_R, check_seed
 from .statevector import StateVector, invert
 
 # Median-boost repetition count: with single-run failure <= 1 - 8/pi^2 < 0.19,
@@ -64,7 +63,7 @@ def repetitions_for_delta(delta: float) -> int:
     """Smallest odd repetition count >= 12 ln(1/delta)."""
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    r = max(1, math.ceil(_BOOST_CONSTANT * -math.log(delta)))
+    r = math.ceil(_BOOST_CONSTANT * -math.log(delta))
     return r if r % 2 else r + 1
 
 
@@ -76,18 +75,6 @@ MAX_REPETITIONS = repetitions_for_delta(math.ulp(0.0))
 def _check_t(t: int) -> None:
     if t < 2 or t & (t - 1):
         raise ValueError("t must be a power of two >= 2")
-
-
-def _as_int(name: str, value) -> int:
-    """``value`` as an int; a bool or a value without ``__index__`` is refused."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _check_seed(seed: int | None) -> None:
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,15 +99,15 @@ class QaeConfig:
         for name in ("t", "repetitions", "seed"):
             value = getattr(self, name)
             if name == "t" or value is not None:
-                object.__setattr__(self, name, _as_int(name, value))  # the class is frozen
+                object.__setattr__(self, name, as_integer(name, value))  # the class is frozen
         _check_t(self.t)
-        _check_seed(self.seed)
+        check_seed(self.seed)
         if self.repetitions is not None and self.delta is not None:
             raise ValueError("give repetitions or delta, not both")
         if self.repetitions is not None and (self.repetitions < 1 or self.repetitions % 2 == 0):
             raise ValueError("repetitions must be an odd integer >= 1")
-        if self.delta is not None and not 0.0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 0.5)")
+        if self.delta is not None:
+            repetitions_for_delta(self.delta)  # refuses a delta outside (0, 0.5)
         if self.target not in ("beta", "r"):
             raise ValueError("target must be 'beta' or 'r'")
 
@@ -186,12 +173,11 @@ class PhaseEstimation:
     loop.  U is bound once as ``redo``, and ``undo`` is ``redo`` run
     backwards (``statevector.invert``), sharing its views and entries; a
     step is redo, V, undo, S0.  V negates the view where phi's buffer axis,
-    through ``bind``'s axis map, reads 1.  Only the distribution and ``t``
-    are kept."""
+    through ``bind``'s axis map, reads 1.  Only the distribution and its
+    running sum are kept; ``t`` is their length."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
         check_width(circuit.num_qubits, t)
-        self.t = t
         w = circuit.num_qubits
         sv = StateVector(w)  # |0>: the loop runs in U's input frame
         redo, axis = sv.bind(circuit.gates)
@@ -216,9 +202,10 @@ class PhaseEstimation:
         return self._distribution.copy()
 
     def sample_outcome(self, rng: np.random.Generator) -> int:
+        """Inverse-CDF draw.  ``random() <= 1 - 2^-53`` keeps ``r`` below the
+        total (about 1), so the draw is an outcome of positive probability."""
         r = rng.random() * self._cumulative[-1]
-        k = int(np.searchsorted(self._cumulative, r, side="right"))
-        return min(k, self.t - 1)
+        return int(np.searchsorted(self._cumulative, r, side="right"))
 
 
 def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | None, count: int) -> tuple[int, ...]:
@@ -228,8 +215,8 @@ def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | No
     it refuses, in order: a ``count``, ``t`` or ``seed`` that is a bool or
     not an integer, ``count < 1``, what ``check_compilable`` or
     ``check_width`` refuse, ``count > MAX_REPETITIONS`` and a negative seed."""
-    count, t = _as_int("count", count), _as_int("t", t)
-    seed = None if seed is None else _as_int("seed", seed)
+    count, t = as_integer("count", count), as_integer("t", t)
+    seed = None if seed is None else as_integer("seed", seed)
     if count < 1:
         raise ValueError("need at least one run")
     check_width(check_compilable(forest, x), t)
@@ -237,7 +224,7 @@ def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | No
         raise ResourceLimitError(
             f"{count} runs requested; no failure bound needs more than {MAX_REPETITIONS}"
         )
-    _check_seed(seed)
+    check_seed(seed)
     seeds = np.random.SeedSequence(seed).spawn(count)
     engine = PhaseEstimation(compile_forest_op(forest, x), t)
     return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)

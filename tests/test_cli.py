@@ -15,7 +15,7 @@ from qrforest.cli import _emit, _read_text, main
 from qrforest.config import MAX_FOREST_BYTES, MAX_FOREST_SLOTS, MAX_INPUT_BYTES, MAX_PAIRS_LINE
 from qrforest.exceptions import ForestFormatError, QrfError
 from qrforest.forest_io import load_forest, save_forest
-from qrforest.model import Attribute, RandomForest, beta_to_R
+from qrforest.model import Attribute, RandomForest, beta_to_R, generate_random_forest
 from qrforest.qae import MAX_REPETITIONS, QaeConfig, run_forecast
 from qrforest.reference import reference_forest, reference_input
 from conftest import forest_documents, two_leaf_forest
@@ -399,6 +399,20 @@ def test_forecast_refuses_a_negative_seed_before_simulating(tmp_path, monkeypatc
                    "--seed", "-1") == 0
 
 
+def _no_load(text):
+    raise AssertionError("the forest was read")
+
+
+def test_forecast_refuses_a_bad_quantum_flag_before_reading_the_forest(tmp_path, monkeypatch, capsys):
+    path = write_two_tree_forest(tmp_path)
+    assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--mode", "classical", "--t", "3") == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "load_forest", _no_load)
+    for mode in ("quantum", "both"):
+        assert run_cli("forecast", "--forest", str(path), "--input", "0.2", "--mode", mode, "--t", "3") == 3
+        assert "t must be a power of two" in capsys.readouterr().err
+
+
 def test_reproduce_refuses_a_negative_seed_before_simulating(monkeypatch, capsys):
     monkeypatch.setattr(qae, "PhaseEstimation", _no_simulation)
     assert run_cli("reproduce", "--seed", "-3") == 3
@@ -488,6 +502,31 @@ def test_reproduce_text_format(capsys):
     assert run_cli("reproduce", "--runs", "3", "--seed", "1") == 0
     text = capsys.readouterr().out
     assert "success_rate" in text and "beta" in text
+
+
+_DISC_REAL_FOREST = save_forest(
+    generate_random_forest(2, 2, (Attribute("discrete", 2), Attribute("real")), (0.0, 1.0), 0)
+)
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({}, ("generate", "-n", "1", "--height", "1", "--attrs", "real", "--range", "1:2:3"),
+     "bad range '1:2:3' (use LO:HI)"),
+    ({"f.json": _DISC_REAL_FOREST}, ("forecast", "--forest", "f.json", "--input", "not-a-file"),
+     "bad input values 'not-a-file'"),
+    ({"f.json": _DISC_REAL_FOREST}, ("forecast", "--forest", "f.json", "--input", "1,nan", "--mode", "classical"),
+     "value nan invalid for attribute 2 (real)"),
+    ({"p.txt": "\n\n"}, ("metrics", "--pairs", "p.txt"), "p.txt: no pairs found"),
+    ({"f.json": "[1]"}, ("forecast", "--forest", "f.json", "--input", "1"), "top level: expected an object"),
+    ({"f.json": json.dumps({"n": 1, "h": 1, "schema": [{"kind": "real"}], "trees": {}})},
+     ("forecast", "--forest", "f.json", "--input", "1"), "trees: expected a list"),
+])
+def test_each_reachable_refusal_exits_3_with_its_message(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*argv) == 3
+    assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_metrics_single_pair(tmp_path, capsys):

@@ -306,7 +306,7 @@ def test_generator_replays_the_per_call_draws_at_benchmark_size():
 
 
 def test_attribute_takes_an_integer_count_of_at_most_2_to_the_53_categories():
-    for bad in (2**53 + 1, 0, 2.5, 3.0, None):
+    for bad in (2**53 + 1, 0, 2.5, 3.0, None, True):
         with pytest.raises(ValueError):
             Attribute("discrete", bad)
     wide = Attribute("discrete", np.int64(2**31 + 1))
@@ -321,6 +321,16 @@ def test_attribute_takes_an_integer_count_of_at_most_2_to_the_53_categories():
     assert loaded.schema == schema
     assert_same_forest(loaded, forest)
     assert save_forest(loaded) == text
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("seed", None), ("seed", True), ("seed", -1), ("seed", 1.5), ("h", True), ("n", True),
+])
+def test_generator_refuses_a_bool_a_non_integer_and_a_negative_seed(name, bad):
+    args = {"n": 2, "h": 2, "schema": MIXED_SCHEMA, "value_range": (0.0, 1.0), "seed": 4}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        generate_random_forest(**{**args, name: bad})
+    assert_same_forest(generate_random_forest(**{**args, "seed": np.int64(4)}), generate_random_forest(**args))
 
 
 def test_input_validation():

@@ -213,6 +213,17 @@ def test_distribution_is_a_probability_vector_on_documents(data, t):
     assert abs(dist.sum() - 1.0) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from((2, 8, 64)), st.integers(0, 2**32))
+def test_sampler_draws_only_outcomes_of_positive_probability(data, t, seed):
+    doc = data.draw(forest_documents())
+    forest = load_forest(json.dumps(doc))
+    assume(forest.y_max > forest.y_min)
+    x = data.draw(document_inputs(doc))
+    dist = PhaseEstimation(compile_forest_op(forest, x), t).distribution()
+    assert all(dist[k] > 0 for k in sample_outcomes(forest, x, t, seed, count=37))
+
+
 def _success_probability(dist, beta, t):
     """Exact single-run success probability: the mass of the outcomes whose
     estimate lies within the quant-ph/0005055 radius of ``beta``."""
