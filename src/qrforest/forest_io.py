@@ -20,7 +20,8 @@ leaf label down to depth ``h``, so every stored tree is full.  Loading parses
 straight into the ``(n, 2^h)`` arrays of ``model.RandomForest``, after
 checking ``n * 2^h`` against ``config.MAX_FOREST_SLOTS``; an early leaf
 fills one contiguous range of leaf slots.  Unknown fields anywhere are
-rejected.
+rejected; ``model.Attribute`` alone checks a schema entry's kind and
+category count, and its message is prefixed with the entry's location.
 
 The whole document is checked and filled in bulk by ``_fill_forest``, with
 one pass per field over the keys and values of every tree: index keys read
@@ -49,7 +50,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import MAX_CATEGORIES, MAX_FOREST_SLOTS
+from .config import MAX_FOREST_SLOTS
 from .exceptions import ForestFormatError
 from .model import EQUALS, PREDICATE_KINDS, Attribute, RandomForest
 
@@ -87,26 +88,17 @@ def _parse_number(value, where: str) -> float:
 
 def _parse_schema(raw, where: str) -> tuple[Attribute, ...]:
     if not isinstance(raw, list) or not raw:
-        raise ForestFormatError(f"{where}: schema must be a non-empty list")
+        raise ForestFormatError(f"{where}: expected a non-empty list")
     out = []
     for i, entry in enumerate(raw):
         loc = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise ForestFormatError(f"{loc}: expected an object")
-        kind = entry.get("kind")
-        if kind == "real":
-            _require_keys(entry, ("kind",), loc)
-            out.append(Attribute("real"))
-        elif kind == "discrete":
-            _require_keys(entry, ("kind", "categories"), loc)
-            cats = entry["categories"]
-            if isinstance(cats, bool) or not isinstance(cats, int) or cats < 1:
-                raise ForestFormatError(f"{loc}: categories must be an integer >= 1")
-            if cats > MAX_CATEGORIES:
-                raise ForestFormatError(f"{loc}: categories must be <= 2^53 (inputs are float64)")
-            out.append(Attribute("discrete", cats))
-        else:
-            raise ForestFormatError(f"{loc}: kind must be 'real' or 'discrete'")
+        _require_keys(entry, ("kind", "categories") if entry.get("kind") == "discrete" else ("kind",), loc)
+        try:  # Attribute owns the kind and category-count rules
+            out.append(Attribute(entry["kind"], entry.get("categories")))
+        except ValueError as e:
+            raise ForestFormatError(f"{loc}: {e}") from None
     return tuple(out)
 
 
@@ -125,7 +117,7 @@ def _parse_predicate(raw, schema: tuple[Attribute, ...], where: str) -> tuple[in
         a = schema[attr - 1]
         if a.kind != "discrete":
             raise ForestFormatError(f"{where}: equals predicate needs a discrete attribute")
-        if threshold != int(threshold) or not 1 <= threshold <= a.categories:
+        if not a.admits(threshold):
             raise ForestFormatError(f"{where}: equals threshold must be a category in [1, {a.categories}]")
     return PREDICATE_KINDS.index(kind), attr, threshold
 

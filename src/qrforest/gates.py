@@ -5,7 +5,7 @@ block per select-register value) and ``ucr`` (uniformly controlled Ry: one
 angle per value).  A one-qubit unitary is a ``ucg`` with no selects, an Ry
 a ``ucr`` with no selects, and a CNOT the one-select ``ucg`` with blocks
 ``[I, X]``.  No gate carries a plain control qubit, as the compiler emits
-none.  ``Gate`` refuses a kind outside ``KINDS`` when built.
+none.  ``Gate`` refuses a kind outside ``KINDS`` or a repeated qubit.
 
 Conventions, fixed package-wide:
   * qubit 0 is the most significant bit of a basis index;
@@ -99,8 +99,6 @@ def cnot(control_qubit: int, target_qubit: int) -> Gate:
 
 
 def swap(a: int, b: int) -> Gate:
-    if a == b:
-        raise ValueError("swap needs two distinct qubits")
     return Gate("swap", (a, b))
 
 

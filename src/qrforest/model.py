@@ -43,21 +43,30 @@ def check_seed(seed: int | None) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
+def check_schema(schema: tuple) -> None:
+    if not schema:
+        raise ValueError("forest needs at least one attribute")
+
+
 @dataclass(frozen=True)
 class Attribute:
     """Schema entry: a real-valued attribute, or a discrete one with
-    categories ``1 .. categories`` (an integer up to ``MAX_CATEGORIES``)."""
+    categories ``1 .. categories`` (an integer up to ``MAX_CATEGORIES``).
+    The only check of a kind or a count, for forest documents, ``generate
+    --attrs`` and library callers alike."""
 
     kind: str
     categories: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("real", "discrete"):
-            raise ValueError(f"unknown attribute kind {self.kind!r}")
+            raise ValueError("kind must be 'real' or 'discrete'")
         if self.kind == "discrete":
             categories = as_integer("categories", self.categories)
-            if not 1 <= categories <= MAX_CATEGORIES:
-                raise ValueError("discrete attribute needs 1 <= categories <= 2^53 (inputs are float64)")
+            if categories < 1:
+                raise ValueError("categories must be an integer >= 1")
+            if categories > MAX_CATEGORIES:
+                raise ValueError("categories must be <= 2^53 (inputs are float64)")
             # kept as a Python int: generate_random_forest multiplies it by 64-bit words
             object.__setattr__(self, "categories", categories)
         elif self.categories is not None:
@@ -94,8 +103,7 @@ class RandomForest:
     y_max: float = field(init=False)
 
     def __post_init__(self):
-        if not self.schema:
-            raise ValueError("forest needs at least one attribute")
+        check_schema(self.schema)
         arrays = {
             "kind": np.asarray(self.kind, dtype=np.int8),
             "attribute": np.asarray(self.attribute, dtype=np.int32),
@@ -278,7 +286,7 @@ def generate_random_forest(
     change to numpy's stream would show in the ``generate`` golden tests and
     in the test that compares this with the per-call loop.
     ``n``, ``h`` and ``seed`` must be integers (not bools); ``seed`` must be
-    non-negative.
+    non-negative, and ``schema`` non-empty.
     """
     n, h, seed = as_integer("n", n), as_integer("h", h), as_integer("seed", seed)
     check_seed(seed)
@@ -289,6 +297,7 @@ def generate_random_forest(
     lo, hi = value_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError("value_range must be a finite (lo, hi) with lo <= hi")
+    check_schema(schema)
     raw = np.random.default_rng(seed).bit_generator.random_raw
     width = 2**h
     budget = 3 * width  # words a tree takes at most unless a draw is rejected

@@ -520,6 +520,12 @@ _DISC_REAL_FOREST = save_forest(
     ({"f.json": "[1]"}, ("forecast", "--forest", "f.json", "--input", "1"), "top level: expected an object"),
     ({"f.json": json.dumps({"n": 1, "h": 1, "schema": [{"kind": "real"}], "trees": {}})},
      ("forecast", "--forest", "f.json", "--input", "1"), "trees: expected a list"),
+    ({}, ("generate", "-n", "0", "--height", "2", "--attrs", "real"), "need n >= 1 and h >= 1"),
+    ({}, ("generate", "-n", "2", "--height", "0", "--attrs", "real"), "need n >= 1 and h >= 1"),
+    ({"f.json": json.dumps({"n": 1, "h": 1, "schema": [], "trees": []})},
+     ("forecast", "--forest", "f.json", "--input", "1"), "schema: expected a non-empty list"),
+    ({"f.json": json.dumps({"n": 1, "h": 1, "schema": [{"kind": "discrete", "categories": 0}], "trees": []})},
+     ("forecast", "--forest", "f.json", "--input", "1"), "schema[0]: categories must be an integer >= 1"),
 ])
 def test_each_reachable_refusal_exits_3_with_its_message(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -527,6 +533,31 @@ def test_each_reachable_refusal_exits_3_with_its_message(tmp_path, monkeypatch, 
         (tmp_path / name).write_text(text)
     assert run_cli(*argv) == 3
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schema,message", [
+    ([], "schema: expected a non-empty list"),
+    ({}, "schema: expected a non-empty list"),
+    ([1], "schema[0]: expected an object"),
+    ([{}], "schema[0]: missing field 'kind'"),
+    ([{"kind": "bogus", "categories": 3}], "schema[0]: unknown field 'categories'"),
+    ([{"kind": "real", "categories": 3}], "schema[0]: unknown field 'categories'"),
+    ([{"kind": "discrete"}], "schema[0]: missing field 'categories'"),
+    # None: the entry's refusal is whatever Attribute(kind, categories) says
+    ([{"kind": "bogus"}], None),
+    ([{"kind": ["real"]}], None),
+    *(([{"kind": "discrete", "categories": c}], None)
+      for c in (0, -1, 1.5, 3.0, True, None, "3", 2**53 + 1, 10**30)),
+])
+def test_schema_entries_are_refused_as_attribute_refuses_them(tmp_path, capsys, schema, message):
+    if message is None:
+        with pytest.raises(ValueError) as e:
+            Attribute(schema[0]["kind"], schema[0].get("categories"))
+        message = f"schema[0]: {e.value}"
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 1, "h": 1, "schema": schema, "trees": [{"nodes": {}, "leaves": {"1": 1.0}}]}))
+    assert run_cli("forecast", "--forest", str(path), "--input", "1", "--mode", "classical") == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_metrics_single_pair(tmp_path, capsys):
@@ -732,8 +763,13 @@ def test_cli_exits_with_a_documented_code(tmp_path, monkeypatch, capsys, data):
     with 2; no other exception escapes."""
     for name, value in _SMALL_CAPS.items():
         monkeypatch.setattr(cli, name, value)
+    # tmp_path is shared by every example: the fixed files are written once
+    # (no --out value names one), and the files an example writes go first.
     for name, content in _FILES.items():
-        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        if not (tmp_path / name).exists():
+            (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    for name in ("forest", "out"):
+        (tmp_path / name).unlink(missing_ok=True)
     doc = data.draw(forest_documents(max_h=3))
     fit = ",".join("1" * len(doc["schema"]))  # an input every schema admits
     (tmp_path / "forest").write_text(json.dumps(_mutated(data.draw, doc)))

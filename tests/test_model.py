@@ -333,6 +333,11 @@ def test_generator_refuses_a_bool_a_non_integer_and_a_negative_seed(name, bad):
     assert_same_forest(generate_random_forest(**{**args, "seed": np.int64(4)}), generate_random_forest(**args))
 
 
+def test_generator_refuses_an_empty_schema_before_any_draw():
+    with pytest.raises(ValueError, match="^forest needs at least one attribute$"):
+        generate_random_forest(2, 2, (), (0.0, 1.0), 0)
+
+
 def test_input_validation():
     x = InputObject.of(0.5, 1, 3, 0.2)
     x.validate_against(MIXED_SCHEMA)
