@@ -67,7 +67,10 @@ class CompiledCircuit:
 
     registers: tuple[Register, ...]
     gates: tuple[g.Gate, ...]
-    num_qubits: int
+
+    @property
+    def num_qubits(self) -> int:
+        return sum(r.size for r in self.registers)
 
     def register(self, name: str) -> Register:
         for r in self.registers:
@@ -109,20 +112,20 @@ def _leaf_rotation_gate(angles: np.ndarray, lam: Register, psi: Register, phi: R
 
 def check_compilable(forest: RandomForest, x: InputObject) -> int:
     """The checks ``compile_forest_op`` makes before it builds anything, in
-    its order; returns the circuit's width ``ceil(log2 n) + h + 2``."""
+    its order; returns the width of the circuit's ``registers_for`` layout."""
     x.validate_against(forest.schema)
     n = forest.n
     if n & (n - 1):
         raise UnsupportedForestError(f"tree count must be a power of two, got {n}")
     label_range(forest)
-    return (n - 1).bit_length() + forest.height + 2
+    return sum(r.size for r in registers_for(n, forest.height))
 
 
 def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
     """The full forecasting operator: from |0...0> it prepares a uniform
     superposition of trees, each walked to its leaf, with phi carrying the
     normalized leaf label in its |1> amplitude."""
-    num_qubits = check_compilable(forest, x)
+    check_compilable(forest, x)
     n, h = forest.n, forest.height
     outcomes = branch_outcomes(forest, x)
     angles = leaf_angles(forest)
@@ -133,11 +136,7 @@ def compile_forest_op(forest: RandomForest, x: InputObject) -> CompiledCircuit:
         seq.extend(compile_times2(psi))
         seq.append(compile_plus1(level, outcomes, lam, psi))
     seq.append(_leaf_rotation_gate(angles, lam, psi, phi))
-    return CompiledCircuit(
-        registers=(lam, psi, phi),
-        gates=tuple(seq),
-        num_qubits=num_qubits,
-    )
+    return CompiledCircuit(registers=(lam, psi, phi), gates=tuple(seq))
 
 
 def _fmt_blocks(blocks: np.ndarray) -> str:

@@ -2,10 +2,10 @@
 
 Errors raised on purpose for a bad forest, input or request derive from
 ``QrfError``.  A bad argument to a public function (a count that is not an
-integer, a delta outside (0, 0.5), a negative seed) raises ``ValueError``
-instead.  ``cli.main`` maps ``ResourceLimitError`` to exit 4 and
-``QrfError``, ``ValueError`` and ``OSError`` to exit 3; anything else is a
-bug.
+integer, a delta that is not a real number in (0, 0.5), a negative seed)
+raises ``ValueError`` instead.  ``cli.main`` maps ``ResourceLimitError`` to
+exit 4 and ``QrfError``, ``ValueError`` and ``OSError`` to exit 3; anything
+else is a bug.
 """
 
 

@@ -17,8 +17,8 @@ is built -- ucg blocks as ``(2^s, 2, 2)`` complex128, ucr angles as
 ``(2^s,)`` float64.  Gates compare by value (``np.array_equal``) and are not
 hashable.  The simulator reads its 2x2 entries from these parameters (and
 ``_H``, ``_X`` for h, x) when it binds a gate.  ``_X`` and ``_ID`` are the
-compiler's walk blocks; there is no Z or -I.  The dense-matrix oracle and
-the gate-level inverse live with the tests, so the two share no code.
+compiler's walk blocks.  The dense-matrix oracle and the gate-level inverse
+live with the tests, so the two share no code.
 """
 from __future__ import annotations
 

@@ -43,11 +43,6 @@ def check_seed(seed: int | None) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def check_schema(schema: tuple) -> None:
-    if not schema:
-        raise ValueError("forest needs at least one attribute")
-
-
 @dataclass(frozen=True)
 class Attribute:
     """Schema entry: a real-valued attribute, or a discrete one with
@@ -80,6 +75,15 @@ class Attribute:
         return True
 
 
+def check_schema(schema: tuple) -> None:
+    """Refuse an empty schema or an entry that is not an ``Attribute``."""
+    if not schema:
+        raise ValueError("forest needs at least one attribute")
+    for i, attr in enumerate(schema):
+        if not isinstance(attr, Attribute):
+            raise ValueError(f"schema entry {i + 1} must be an Attribute, got {attr!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RandomForest:
     """``n`` equally tall decision trees over a common attribute schema,
@@ -90,8 +94,12 @@ class RandomForest:
     index into ``PREDICATE_KINDS``, its 1-based attribute and its threshold.
     ``threshold-greater`` tests ``x > threshold`` on either attribute kind;
     ``equals`` tests ``x == threshold`` against a category.  Slot ``j`` of
-    ``leaf`` is the label of leaf ``2^h + j``.  The arrays are read-only, and
-    ``y_min``/``y_max`` are computed once here.
+    ``leaf`` is the label of leaf ``2^h + j``.  ``y_min``/``y_max`` are
+    computed once here.  A forest holds the arrays it is given and makes
+    them read-only, without copying them: a caller's array that already has
+    the field's dtype (int8, int32, float64, float64) becomes the field
+    itself and is read-only from then on; any other is converted to a new
+    array.
     """
 
     schema: tuple[Attribute, ...]
@@ -286,7 +294,7 @@ def generate_random_forest(
     change to numpy's stream would show in the ``generate`` golden tests and
     in the test that compares this with the per-call loop.
     ``n``, ``h`` and ``seed`` must be integers (not bools); ``seed`` must be
-    non-negative, and ``schema`` non-empty.
+    non-negative, and ``schema`` a non-empty sequence of ``Attribute``.
     """
     n, h, seed = as_integer("n", n), as_integer("h", h), as_integer("seed", seed)
     check_seed(seed)

@@ -31,8 +31,9 @@ The width cap counts the textbook circuit's work + phase qubits.
 
 ``sample_outcomes`` is the one path from (forest, input) to phase outcomes:
 it makes every check before it compiles, then simulates the distribution, a
-deterministic function of (forest, input, t), once per call; its runs stay
-independent through their measurement seeds.
+deterministic function of (forest, input, t), once per call, and draws each
+run's outcome from it by inverse CDF on that run's own seeded generator; its
+runs stay independent through their measurement seeds.
 
 Counting conventions (exposed through the result object) are those of the
 textbook circuit, not of the simulator's work: one preparation of the
@@ -43,6 +44,7 @@ walks ``height`` levels, i.e. does ``height`` classical input queries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +62,10 @@ _BOOST_CONSTANT = 12.0
 
 
 def repetitions_for_delta(delta: float) -> int:
-    """Smallest odd repetition count >= 12 ln(1/delta)."""
+    """Smallest odd repetition count >= 12 ln(1/delta); a ``delta`` that is a
+    bool, not a real number or outside (0, 0.5) is refused."""
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ValueError(f"delta must be a real number, got {delta!r}")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
     r = math.ceil(_BOOST_CONSTANT * -math.log(delta))
@@ -86,7 +91,8 @@ class QaeConfig:
     repetition is run.  ``target`` selects whether the result also carries
     the forecast mapped back to the raw leaf-label scale ('r') or just the
     normalized estimate ('beta').  A ``seed`` must be non-negative.  ``t``,
-    ``repetitions`` and ``seed`` are stored as ints; a bool or a float is refused.
+    ``repetitions`` and ``seed`` are stored as ints; a bool or a float is
+    refused, as a ``delta`` that is a bool or not a real number is.
     """
 
     t: int
@@ -151,10 +157,12 @@ def estimate_of(outcome: int, t: int) -> float:
     return math.sin(math.pi * outcome / t) ** 2
 
 
-def check_width(work_qubits: int, t: int) -> None:
-    """Refuse a phase grid ``t`` that is not a power of two >= 2, then a run
-    of ``work_qubits`` plus ``log2 t`` phase qubits wider than
-    ``MAX_SIM_QUBITS``; needs only the widths, so it runs before any work."""
+def check_width(work_qubits: int, t: int) -> int:
+    """Refuse a phase grid ``t`` that is a bool, not an integer or not a
+    power of two >= 2, then a run of ``work_qubits`` plus ``log2 t`` phase
+    qubits wider than ``MAX_SIM_QUBITS``; returns ``t`` as the int it
+    admitted.  It needs only the widths, so it runs before any work."""
+    t = as_integer("t", t)
     _check_t(t)
     phase_size = t.bit_length() - 1
     width = work_qubits + phase_size
@@ -163,6 +171,7 @@ def check_width(work_qubits: int, t: int) -> None:
             f"{width} qubits ({work_qubits} work + {phase_size} phase) "
             f"exceeds the simulator cap of {MAX_SIM_QUBITS}"
         )
+    return t
 
 
 class PhaseEstimation:
@@ -173,12 +182,12 @@ class PhaseEstimation:
     loop.  U is bound once as ``redo``, and ``undo`` is ``redo`` run
     backwards (``statevector.invert``), sharing its views and entries; a
     step is redo, V, undo, S0.  V negates the view where phi's buffer axis,
-    through ``bind``'s axis map, reads 1.  Only the distribution and its
-    running sum are kept; ``t`` is their length."""
+    through ``bind``'s axis map, reads 1.  Only the distribution is kept;
+    ``t`` is its length."""
 
     def __init__(self, circuit: CompiledCircuit, t: int):
-        check_width(circuit.num_qubits, t)
         w = circuit.num_qubits
+        t = check_width(w, t)
         sv = StateVector(w)  # |0>: the loop runs in U's input frame
         redo, axis = sv.bind(circuit.gates)
         undo = invert(redo)
@@ -195,17 +204,10 @@ class PhaseEstimation:
             g[m] = v[0]
         p = 2.0 * np.fft.fft((t - np.arange(t)) * g).real - t * g[0].real
         self._distribution = np.maximum(p / t**2, 0.0)
-        self._cumulative = np.cumsum(self._distribution)
 
     def distribution(self) -> np.ndarray:
         """Exact outcome probabilities over phase values 0 .. t-1."""
         return self._distribution.copy()
-
-    def sample_outcome(self, rng: np.random.Generator) -> int:
-        """Inverse-CDF draw.  ``random() <= 1 - 2^-53`` keeps ``r`` below the
-        total (about 1), so the draw is an outcome of positive probability."""
-        r = rng.random() * self._cumulative[-1]
-        return int(np.searchsorted(self._cumulative, r, side="right"))
 
 
 def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | None, count: int) -> tuple[int, ...]:
@@ -226,8 +228,11 @@ def sample_outcomes(forest: RandomForest, x: InputObject, t: int, seed: int | No
         )
     check_seed(seed)
     seeds = np.random.SeedSequence(seed).spawn(count)
-    engine = PhaseEstimation(compile_forest_op(forest, x), t)
-    return tuple(engine.sample_outcome(np.random.default_rng(s)) for s in seeds)
+    c = np.cumsum(PhaseEstimation(compile_forest_op(forest, x), t).distribution())
+    # Inverse-CDF draws: random() <= 1 - 2^-53 keeps each point below the
+    # total (about 1), so every draw is an outcome of positive probability.
+    points = (np.random.default_rng(s).random() * c[-1] for s in seeds)
+    return tuple(int(np.searchsorted(c, r, side="right")) for r in points)
 
 
 def query_count(result: EstimationResult) -> int:

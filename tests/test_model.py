@@ -338,6 +338,16 @@ def test_generator_refuses_an_empty_schema_before_any_draw():
         generate_random_forest(2, 2, (), (0.0, 1.0), 0)
 
 
+def test_a_schema_entry_that_is_not_an_attribute_is_refused():
+    arrays = (np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 2)), np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^schema entry 1 must be an Attribute, got 'real'$"):
+        RandomForest(("real",), *arrays)
+    with pytest.raises(ValueError, match="^schema entry 2 must be an Attribute, got None$"):
+        RandomForest((Attribute("real"), None), *arrays)
+    with pytest.raises(ValueError, match="^schema entry 1 must be an Attribute, got 'real'$"):
+        generate_random_forest(2, 2, ("real",), (0, 1), 0)
+
+
 def test_input_validation():
     x = InputObject.of(0.5, 1, 3, 0.2)
     x.validate_against(MIXED_SCHEMA)

@@ -86,8 +86,8 @@ def test_grid_exact_amplitude_is_deterministic():
     dist = engine.distribution()
     np.testing.assert_allclose(dist, [0.0, 0.5, 0.0, 0.5], atol=1e-12)
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        assert estimate_of(engine.sample_outcome(rng), 4) == pytest.approx(0.5, abs=1e-12)
+        (outcome,) = sample_outcomes(forest, x, 4, seed, 1)
+        assert estimate_of(outcome, 4) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", (8, 16, 32))
@@ -370,8 +370,7 @@ def test_empirical_frequencies_follow_distribution(reference):
     dist = engine.distribution()
     mode = int(np.argmax(dist))
     assert estimate_of(mode, 32) == pytest.approx(0.146446609406726, abs=1e-12)
-    rng = np.random.default_rng(81)
-    draws = np.array([engine.sample_outcome(rng) for _ in range(4000)])
+    draws = np.array(sample_outcomes(*reference, 32, 81, 4000))
     freq = np.bincount(draws, minlength=32) / draws.size
     assert np.abs(freq - dist).max() < 0.05
 
@@ -615,3 +614,21 @@ def test_value_objects_have_no_dict():
     assert hash(dataclasses.replace(moved, seed=3)) == hash(config)
     with pytest.raises(ValueError, match="not both"):
         dataclasses.replace(config, repetitions=3)
+
+
+def test_phase_estimation_admits_t_as_the_sampler_does(reference):
+    circuit = compile_forest_op(*reference)
+    expected = PhaseEstimation(circuit, 8).distribution()
+    assert PhaseEstimation(circuit, np.int64(8)).distribution().tobytes() == expected.tobytes()
+    for bad in (8.0, True):
+        with pytest.raises(ValueError, match="^t must be an integer, got "):
+            PhaseEstimation(circuit, bad)
+
+
+@pytest.mark.parametrize("delta", ("0.1", None, True, np.True_, 0.1j))
+def test_a_delta_that_is_a_bool_or_not_a_real_number_is_refused(delta):
+    with pytest.raises(ValueError, match="^delta must be a real number, got "):
+        repetitions_for_delta(delta)
+    if delta is not None:  # QaeConfig takes delta=None as no delta
+        with pytest.raises(ValueError, match="^delta must be a real number, got "):
+            QaeConfig(t=8, delta=delta)

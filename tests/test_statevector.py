@@ -10,6 +10,7 @@ from conftest import random_instance, random_statevector, ry, swap_as_cnots
 from qrforest import gates as g
 from qrforest.exceptions import ResourceLimitError
 from qrforest.compiler import Register, compile_forest_op
+from qrforest.model import Attribute, generate_random_forest
 from qrforest.statevector import StateVector, invert
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -272,3 +273,24 @@ def test_cnot_is_a_one_select_ucg():
     assert all(np.shares_memory(e, blocks) for e in steps[0][2])
     sv.run(steps)
     np.testing.assert_array_equal(sv.amplitudes, perm @ state)
+
+
+@pytest.mark.parametrize("refused,error,message", [
+    (lambda: Register("psi", -1, 2), ValueError, "^register range must be non-negative$"),
+    (lambda: compile_forest_op(*random_instance(2, 1, 3)).register("phase"), KeyError, "'phase'"),
+    (lambda: g.Gate("h", (-1,)), ValueError, "^qubit indices must be non-negative$"),
+    (lambda: g.ucg((), 0, [np.eye(3)]), ValueError, "^one-qubit unitary must be 2x2$"),
+    (lambda: Attribute("real", 3), ValueError, "^real attribute takes no categories$"),
+    (lambda: generate_random_forest(1, 1, (Attribute("real"),), (1.0, 0.0), 0), ValueError,
+     r"^value_range must be a finite \(lo, hi\) with lo <= hi$"),
+    (lambda: StateVector(0), ValueError, "^need at least one qubit$"),
+    (lambda: StateVector(2, np.zeros(3)), ValueError, r"^expected 4 amplitudes, got \(3,\)$"),
+])
+def test_each_building_block_refuses_a_bad_argument(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
+
+
+def test_a_gate_is_equal_to_nothing_but_a_gate():
+    assert g.h(0).__eq__("h") is NotImplemented
+    assert g.h(0) != "h" and g.h(0) == g.h(0)
